@@ -1,29 +1,22 @@
-"""Detection-core throughput: scalar vs columnar vs address-sharded.
+"""Detection-core throughput: scalar ``access()`` loop vs columnar
+``feed_batch``.
 
-The columnar pipeline (``docs/performance.md``, "Columnar pipeline &
-sharded detection") promises:
+The columnar pipeline (``docs/performance.md``, "Columnar pipeline")
+promises that ``feed_batch`` — one dict probe + int compare per
+fast-path event, whole repeat groups skipped via the ``next_change``
+index — beats the scalar ``access()`` loop by ≥3x on the replay-shaped
+locality stream (the ~1.4M events/sec scalar baseline of
+BENCH_replay.json), with **bit-identical** verdicts: same races, same
+order, same accesses_processed.
 
-* ``feed_batch`` — one dict probe + int compare per fast-path event,
-  whole repeat groups skipped via the ``next_change`` index — beats the
-  scalar ``access()`` loop by ≥3x on the replay-shaped locality stream
-  (the ~1.4M events/sec scalar baseline of BENCH_replay.json);
-* address-sharding splits the work: each shard's pass touches only its
-  own variables, so the critical path (the slowest shard) shrinks as
-  shards are added — measured here as per-shard wall time on one core
-  and reported as the projected speedup of a perfectly parallel run
-  (this runner has one core; real fan-out wall-clock lives in
-  ``repro detect --jobs``);
-* every configuration is **bit-identical**: same races, same order,
-  same accesses_processed.
-
-Numbers go to ``benchmarks/results/BENCH_detect.json``; assertions are
-shape-level with slack for CI-runner noise.
+This is a microbenchmark of the detector core on a synthetic stream;
+end-to-end detection time on real traces is ``detector.feed_s`` in the
+``e2ebench`` run.  Numbers go to ``benchmarks/results/BENCH_detect.json``;
+assertions are shape-level with slack for CI-runner noise.
 """
 
-import heapq
 import json
 import time
-from operator import itemgetter
 
 from repro.detector.fasttrack import FastTrack
 
@@ -32,7 +25,6 @@ from detect_stream import locality_stream, warm
 
 EVENTS = 60_000
 REPEATS = 7
-SHARD_COUNTS = (1, 2, 4)
 #: Measured locally ~3.3x; the floor leaves room for a loaded runner
 #: while still failing if the columnar path loses its edge.
 MIN_BATCH_SPEEDUP = 2.5
@@ -60,16 +52,8 @@ def _scalar_pass(accesses):
 def _batched_pass(chunks):
     detector = FastTrack()
     d_feed = detector.feed_batch
-    for batch, base in chunks:
-        d_feed(batch, 0, len(batch), base)
-    return detector
-
-
-def _shard_pass(chunks, shard, nshards):
-    detector = FastTrack()
-    d_feed = detector.feed_batch_shard
-    for batch, base in chunks:
-        d_feed(batch, 0, len(batch), base, shard, nshards)
+    for batch, _base in chunks:
+        d_feed(batch, 0, len(batch))
     return detector
 
 
@@ -83,7 +67,7 @@ def measure():
     assert batched.races == scalar.races
     assert batched.accesses_processed == scalar.accesses_processed == n
 
-    results = {
+    return {
         "events": n,
         "repeats": REPEATS,
         "races": len(scalar.races),
@@ -93,36 +77,7 @@ def measure():
             "events_per_sec": n / batched_s,
             "speedup_vs_scalar": scalar_s / batched_s,
         },
-        "sharded": {},
     }
-
-    for nshards in SHARD_COUNTS:
-        shard_seconds = []
-        shard_events = []
-        tagged = []
-        for shard in range(nshards):
-            seconds, detector = _best(
-                lambda s=shard: _shard_pass(chunks, s, nshards),
-                repeats=max(3, REPEATS - 2))
-            shard_seconds.append(seconds)
-            shard_events.append(detector.accesses_processed)
-            tagged.append(list(zip(detector.race_indices,
-                                   detector.races)))
-        merged = [report for _gidx, report in
-                  heapq.merge(*tagged, key=itemgetter(0))]
-        # Exactness: the union of per-shard verdicts, merged on global
-        # stream index, IS the serial verdict list — order included.
-        assert merged == scalar.races
-        assert sum(shard_events) == n
-        critical = max(shard_seconds)
-        results["sharded"][str(nshards)] = {
-            "per_shard_seconds": shard_seconds,
-            "per_shard_events": shard_events,
-            "critical_path_seconds": critical,
-            "projected_events_per_sec": n / critical,
-            "projected_speedup_vs_batched": batched_s / critical,
-        }
-    return results
 
 
 def test_detect_throughput(benchmark, profile, results_dir):
@@ -132,33 +87,15 @@ def test_detect_throughput(benchmark, profile, results_dir):
         json.dumps(results, indent=2) + "\n")
 
     lines = [f"({results['events']} events, min of {REPEATS}, "
-             f"{results['races']} races — identical in every config)",
+             f"{results['races']} races — identical in both passes)",
              f"scalar access loop : "
              f"{results['scalar']['events_per_sec']:>12,.0f} events/sec",
              f"columnar feed_batch: "
              f"{results['batched']['events_per_sec']:>12,.0f} events/sec "
-             f"({results['batched']['speedup_vs_scalar']:.2f}x)",
-             ""]
-    header = (f"{'shards':>7s}{'critical path':>15s}"
-              f"{'projected ev/s':>16s}{'x batched':>11s}")
-    lines += [header, "-" * len(header)]
-    for nshards in SHARD_COUNTS:
-        row = results["sharded"][str(nshards)]
-        lines.append(
-            f"{nshards:7d}"
-            f"{row['critical_path_seconds'] * 1e3:12.1f} ms"
-            f"{row['projected_events_per_sec']:>16,.0f}"
-            f"{row['projected_speedup_vs_batched']:11.2f}")
+             f"({results['batched']['speedup_vs_scalar']:.2f}x)"]
     write_table(results_dir, "BENCH_detect", lines)
 
     assert results["batched"]["speedup_vs_scalar"] > MIN_BATCH_SPEEDUP
-    # Address-sharding must actually split the work: at 4 shards the
-    # slowest shard carries well under the whole stream's cost.
-    one = results["sharded"]["1"]["critical_path_seconds"]
-    four = results["sharded"]["4"]["critical_path_seconds"]
-    assert four < one / 1.5
-    # Every shard got a non-trivial slice (the hash spreads addresses).
-    assert min(results["sharded"]["4"]["per_shard_events"]) > 0
 
 
 if __name__ == "__main__":

@@ -670,10 +670,9 @@ class AnalysisContext:
     def merged_batches(self) -> Iterator[tuple]:
         """The batched twin of :meth:`merged_events`: the same totally
         ordered event stream, delivered as spliced runs instead of
-        single events.  Yields ``(BATCH_SYNC, sync_op, gindex)`` and
-        ``(BATCH_RUN, batch, start, stop, gindex_base)`` items, where
-        the global index numbers events exactly as the scalar merge
-        would enumerate them.
+        single events.  Yields ``(BATCH_SYNC, sync_op)`` and
+        ``(BATCH_RUN, batch, start, stop)`` items whose flattening
+        enumerates exactly the events the scalar merge does.
 
         Instead of heap-popping every event, the merge pops only stream
         *heads*: the minimum head's stream emits its entire contiguous
@@ -709,7 +708,6 @@ class AnalysisContext:
         positions = [0] * (len(batches) + 1)
         sync_keys: Optional[List[EventKey]] = None
         nsync = len(sync_events)
-        gindex = 0
         pop = heapq.heappop
         push = heapq.heappush
         while heads:
@@ -724,8 +722,7 @@ class AnalysisContext:
                         sync_keys = [key for key, _ in sync_events]
                     end = bisect_left(sync_keys, bound, start)
                 for j in range(start, end):
-                    yield (BATCH_SYNC, sync_events[j][1], gindex)
-                    gindex += 1
+                    yield (BATCH_SYNC, sync_events[j][1])
                 positions[0] = end
                 if end < nsync:
                     push(heads, (sync_events[end][0], 0))
@@ -734,8 +731,7 @@ class AnalysisContext:
                 start = positions[sidx]
                 end = (batch.run_end(start, bound)
                        if bound is not None else len(batch))
-                yield (BATCH_RUN, batch, start, end, gindex)
-                gindex += end - start
+                yield (BATCH_RUN, batch, start, end)
                 positions[sidx] = end
                 if end < len(batch):
                     push(heads, (batch.key_at(end), sidx))

@@ -24,11 +24,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..detector.base import DetectionFindings, DetectorBackend
 from ..detector.batch import BATCH_SYNC
-from ..detector.events import RaceReport, SyncOp
-from ..detector.fasttrack import FastTrack
+from ..detector.events import RaceReport
 from ..detector.registry import DEFAULT_DETECTOR, create_backend, \
     resolve_detectors
-from ..detector.sharded import run_sharded_fasttrack
 from ..isa.program import Program
 from ..replay.engine import ReplayResult
 from ..supervise import RunLedger
@@ -253,21 +251,8 @@ class OfflinePipeline:
             drive the §5.1 regeneration loop, and head the report.
             Unknown names raise
             :class:`~repro.errors.UnknownDetectorError` immediately.
-        batch: feed detection from the columnar batch merge
-            (:meth:`AnalysisContext.merged_batches`) — the default.
-            False (the ``--no-batch`` escape hatch) feeds the scalar
-            per-event merge instead.  Verdicts are bit-identical either
-            way (differentially tested); the batch path is several times
-            faster.
-        detect_shards: address-shard the detection stage across this
-            many parallel FastTrack workers (sync events broadcast,
-            accesses partitioned by address hash, findings merged back
-            into exact serial order).  Takes effect only on the
-            batched single-``fasttrack`` configuration; anything else
-            falls back to the serial batched pass.
-        detect_executor: executor for the shard fan-out (default: picks
-            ``"process"`` where fork inheritance makes the event plan
-            free to share, ``"thread"`` elsewhere).
+            Every backend is fed from the columnar batch merge
+            (:meth:`AnalysisContext.merged_batches`).
         reconcile_clock: run clock reconciliation (:mod:`repro.clock`)
             before analysis — estimate (or reuse, for v4 containers) a
             per-core :class:`~repro.clock.model.ClockModel` from the
@@ -290,9 +275,6 @@ class OfflinePipeline:
         jit: bool = True,
         supervisor=None,
         detectors: Sequence[str] = (DEFAULT_DETECTOR,),
-        batch: bool = True,
-        detect_shards: int = 1,
-        detect_executor: Optional[str] = None,
         reconcile_clock: bool = False,
     ) -> None:
         self.program = program
@@ -307,9 +289,6 @@ class OfflinePipeline:
         #: :class:`DetectionResult` carries a merged ``ledger``.
         self.supervisor = supervisor
         self.detectors = resolve_detectors(detectors)
-        self.batch = batch
-        self.detect_shards = max(1, detect_shards)
-        self.detect_executor = detect_executor
         self.reconcile_clock = reconcile_clock
 
     # ------------------------------------------------------------------
@@ -365,52 +344,12 @@ class OfflinePipeline:
         """One detection pass over *context*'s merged stream with fresh
         backends; returns ``(backends, events_processed)``.
 
-        Three strategies, all producing bit-identical verdicts (the
-        differential tests pin this):
-
-        * **scalar** (``batch=False``) — the per-event ``heapq.merge``
-          reference path;
-        * **batched serial** (the default) — the splice merge feeds
-          whole columnar runs to :meth:`DetectorBackend.feed_batch`
-          (single backend) or materializes each event once for N
-          backends side-by-side;
-        * **sharded** (``detect_shards > 1``, batched, single
-          ``fasttrack``) — address-sharded parallel FastTrack with a
-          deterministic findings merge.
+        The splice merge (:meth:`AnalysisContext.merged_batches`) hands
+        a single backend whole columnar runs through
+        :meth:`DetectorBackend.feed_batch`; N backends side-by-side
+        share one scalar materialization per event.
         """
         backends = tuple(create_backend(name) for name in self.detectors)
-        if not self.batch:
-            events_processed = 0
-            if len(backends) == 1:
-                # Single-backend fast path: pre-bound methods, same loop
-                # shape as the historical FastTrack-only pipeline (the
-                # registry indirection perf gate measures this path).
-                d_sync = backends[0].sync
-                d_access = backends[0].access
-                for _, event in context.merged_events():
-                    if isinstance(event, SyncOp):
-                        d_sync(event)
-                    else:
-                        d_access(event)
-                    events_processed += 1
-            else:
-                # N backends side-by-side over the one merged pass.
-                for _, event in context.merged_events():
-                    if isinstance(event, SyncOp):
-                        for backend in backends:
-                            backend.sync(event)
-                    else:
-                        for backend in backends:
-                            backend.access(event)
-                    events_processed += 1
-            return backends, events_processed
-        if (self.detect_shards > 1 and len(backends) == 1
-                and type(backends[0]) is FastTrack):
-            sharded = run_sharded_fasttrack(
-                context, shards=self.detect_shards,
-                executor=self.detect_executor,
-            )
-            return (sharded,), sharded.events_processed
         events_processed = 0
         if len(backends) == 1:
             d_sync = backends[0].sync
@@ -420,12 +359,10 @@ class OfflinePipeline:
                     d_sync(item[1])
                     events_processed += 1
                 else:
-                    _, batch, start, stop, base = item
-                    d_feed(batch, start, stop, base)
+                    _, batch, start, stop = item
+                    d_feed(batch, start, stop)
                     events_processed += stop - start
         else:
-            # N backends share one scalar materialization per event (the
-            # splice merge still replaces the per-event heap traffic).
             for item in context.merged_batches():
                 if item[0] == BATCH_SYNC:
                     op = item[1]
@@ -433,7 +370,7 @@ class OfflinePipeline:
                         backend.sync(op)
                     events_processed += 1
                 else:
-                    _, batch, start, stop, _base = item
+                    _, batch, start, stop = item
                     access_at = batch.access_at
                     for i in range(start, stop):
                         event = access_at(i)

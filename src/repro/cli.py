@@ -419,7 +419,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
                                jit=not args.no_jit,
-                               batch=not args.no_batch,
                                supervisor=_supervisor_from(args),
                                detectors=_detectors_from(args),
                                reconcile_clock=args.reconcile_clock)
@@ -480,11 +479,10 @@ def _detect_one(work: tuple):
     """Module-level detect worker (picklable for the process executor):
     one seeded trace + analysis."""
     program, mode, period, driver, seed, governor, load_bursts, \
-        detectors, batch, reconcile_clock = work
+        detectors, reconcile_clock = work
     bundle = trace_run(program, period=period, driver=driver, seed=seed,
                        governor=governor, load_bursts=load_bursts)
-    return OfflinePipeline(program, mode=mode, batch=batch,
-                           detectors=detectors,
+    return OfflinePipeline(program, mode=mode, detectors=detectors,
                            reconcile_clock=reconcile_clock).analyze(bundle)
 
 
@@ -495,14 +493,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     detectors = _detectors_from(args)
     summary = FleetSummary()
     if args.runs == 1:
-        # One run: spend the job budget inside the pipeline (per-thread
-        # decode/replay fan-out plus address-sharded detection).
+        # One run: spend the job budget on the pipeline's per-thread
+        # decode/replay fan-out.
         bundle = trace_run(program, period=args.period,
                            driver=_DRIVERS[args.driver], seed=args.seed,
                            governor=governor)
         pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                                   batch=not args.no_batch,
-                                   detect_shards=args.jobs,
                                    supervisor=supervisor,
                                    detectors=detectors,
                                    reconcile_clock=args.reconcile_clock)
@@ -545,7 +541,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     work = [
         (program, args.mode, args.period, _DRIVERS[args.driver],
          args.seed + run_index, governor, None, detectors,
-         not args.no_batch, args.reconcile_clock)
+         args.reconcile_clock)
         for run_index in range(args.runs)
     ]
     if supervisor is not None or args.checkpoint_dir is not None:
@@ -1097,8 +1093,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         corrupt_rate=args.corrupt_rate,
         sticky_corrupt_rate=args.sticky_corrupt_rate,
         poison_rate=args.poison_rate, reorder=args.reorder,
-        retries=retries, backlog_budget=args.backlog_budget,
-        jobs=args.jobs, detect_shards=args.detect_shards,
+        retries=retries, backlog_budget=args.backlog_budget, jobs=args.jobs,
         confirm=args.confirm, confirm_retries=args.confirm_retries,
         # Worker faults need real process isolation (a simulated SIGKILL
         # must not take the triage service down with it).
@@ -1221,11 +1216,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", metavar="PATH",
         help="dump a cProfile pstats file for the offline stage to PATH",
     )
-    analyze_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="feed detectors one scalar event at a time instead of "
-             "columnar batches (bit-identical, slower)",
-    )
     _add_detector_args(analyze_parser)
     _add_clock_args(analyze_parser)
     _add_supervision_args(analyze_parser)
@@ -1242,13 +1232,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="seeded runs to aggregate")
     detect_parser.add_argument("--jobs", type=int, default=1,
                                help="workers: across runs when --runs > 1; "
-                                    "otherwise pipeline fan-out plus "
-                                    "address-sharded parallel FastTrack")
-    detect_parser.add_argument(
-        "--no-batch", action="store_true",
-        help="feed detectors one scalar event at a time instead of "
-             "columnar batches (bit-identical, slower)",
-    )
+                                    "otherwise per-thread decode/replay "
+                                    "fan-out")
     detect_parser.add_argument(
         "--profile", metavar="PATH",
         help="dump a cProfile pstats file for the offline stage to PATH",
@@ -1497,11 +1482,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_parser.add_argument("--jobs", type=int, default=1,
                               help="analysis worker slots")
-    fleet_parser.add_argument(
-        "--detect-shards", type=int, default=1, metavar="N",
-        help="address shards for the FastTrack pass inside each "
-             "analysis worker (results identical at any shard count)",
-    )
     fleet_parser.add_argument(
         "--confirm", action="store_true",
         help="replay every reported race under schedule control inside "

@@ -138,11 +138,10 @@ class DetectorBackend:
         The default materializes each event and delegates to
         :meth:`access`, so every backend accepts batches with verdicts
         bit-identical to the scalar stream; backends with a columnar
-        fast path (FastTrack) override this.  *base* is the global
-        merged-stream index of the run's **first** event, so batch
-        position ``i`` has global index ``base + i - start`` — used by
-        the sharded runner to restore stream order when merging
-        per-shard reports.
+        fast path (FastTrack) override this.  *base* is ignored: it is
+        kept only because the benchmark's traced run
+        (``e2ebench/spans.py``) forwards it positionally, and can go
+        once that caller stops passing it.
         """
         if stop is None:
             stop = len(batch)

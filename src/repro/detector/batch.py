@@ -1,8 +1,8 @@
 """Columnar (struct-of-arrays) access-event batches.
 
-The scalar detection path materializes one frozen :class:`Access`
-dataclass per recovered access and heap-pops them one at a time through
-``heapq.merge`` into per-event detector method calls — at ~1.4M
+A per-event feed (``AnalysisContext.merged_events``) materializes one
+frozen :class:`Access` dataclass per recovered access and heap-pops
+them one at a time through ``heapq.merge`` — at ~1.4M
 events/sec the object churn *is* the bottleneck, not the FastTrack
 algorithm.  An :class:`EventBatch` is the columnar twin of one thread's
 lowered access stream: parallel arrays of tsc/step/ip/kind packed as
@@ -50,8 +50,7 @@ from .events import (
 )
 
 #: Merge-item tags yielded by ``AnalysisContext.merged_batches()``:
-#: ``(BATCH_SYNC, sync_op, global_index)`` or
-#: ``(BATCH_RUN, batch, start, stop, global_index_base)``.
+#: ``(BATCH_SYNC, sync_op)`` or ``(BATCH_RUN, batch, start, stop)``.
 BATCH_SYNC = 0
 BATCH_RUN = 1
 
@@ -198,10 +197,9 @@ class EventBatch:
         are full of loop-local repeats — consecutive accesses to the same
         variable with the same kind — and a repeat provably satisfies the
         detector fast path given its predecessor's postcondition, so the
-        batch loops skip whole repeat groups with one index jump instead
+        batch loop skips whole repeat groups with one index jump instead
         of comparing per event.  Computed lazily once per batch and
-        cached (regeneration rounds and every shard of a sharded pass
-        reuse it)."""
+        cached (regeneration rounds reuse it)."""
         nxt = self._nxt
         if nxt is None:
             vars_col = self.vars

@@ -43,7 +43,7 @@ by construction (and differentially tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .base import HBDetectorBackend
 from .events import Access, AccessKind, RaceReport
@@ -109,12 +109,6 @@ class FastTrack(HBDetectorBackend):
         #: read coverage (exclusive owner change, shared-read discard on
         #: write) pop the affected entries.
         self._r_tables: Dict[int, Dict[Tuple[int, int], int]] = {}
-        #: Global stream index of the event being processed (set by the
-        #: batch slow path); parallel list :attr:`race_indices` tags each
-        #: report with it so the sharded runner can merge per-shard
-        #: reports back into exact serial stream order.
-        self._gidx = -1
-        self.race_indices: List[int] = []
 
     # ------------------------------------------------------------------
     # Accesses
@@ -129,7 +123,6 @@ class FastTrack(HBDetectorBackend):
     def _report(self, state: _VarState, access: Access,
                 first_tid: int, first_kind: AccessKind,
                 first_ip: Optional[int]) -> None:
-        self.race_indices.append(self._gidx)
         self.races.append(
             RaceReport(
                 var=access.var,
@@ -293,9 +286,6 @@ class FastTrack(HBDetectorBackend):
         if table is None:
             table = self._r_tables[tid] = {}
         r_get = table.get
-        # *base* is the global index of the run's first event (batch
-        # position *start*), so event i's global index is base + i - start.
-        gbase = base - start
         fast = 0
         i = start
         while i < stop:
@@ -310,7 +300,6 @@ class FastTrack(HBDetectorBackend):
                 fast += j - i
                 i = j
                 continue
-            self._gidx = gbase + i
             access = batch.access_at(i)
             if kind:
                 self._write(access)
@@ -318,63 +307,6 @@ class FastTrack(HBDetectorBackend):
                 self._read(access)
             # The slow event's postcondition makes the rest of its repeat
             # group a guaranteed fast-path hit — skip it wholesale.
-            j = nxt[i]
-            if j > stop:
-                j = stop
-            fast += j - i - 1
-            i = j
-        self.accesses_processed += fast
-
-    def feed_batch_shard(self, batch, start: int, stop: int, base: int,
-                         shard: int, nshards: int) -> None:
-        """The :meth:`feed_batch` loop with address-shard filtering:
-        process only events whose variable hashes to *shard*, skipping
-        the rest untouched.  Kept as a twin loop (rather than a branch
-        inside :meth:`feed_batch`) so the serial hot path pays nothing
-        for sharding.  Skipping foreign-shard events cannot break the
-        run-length argument: a repeated (var, kind) pair is same-shard
-        by definition, and skipped events never touch shadow state.
-        """
-        if stop <= start:
-            return
-        tid = batch.tid
-        assert 0 <= tid < _TID_SPAN
-        clock = self._clock(tid)
-        current = clock.get(tid)
-        cur_w = current << _TID_BITS | tid
-        vars_col = batch.vars
-        kinds = batch.kinds
-        nxt = batch.next_change
-        w_get = self._w_fast.get
-        table = self._r_tables.get(tid)
-        if table is None:
-            table = self._r_tables[tid] = {}
-        r_get = table.get
-        gbase = base - start
-        fast = 0
-        i = start
-        while i < stop:
-            var = vars_col[i]
-            if (var[0] >> 3) % nshards != shard:
-                # Foreign shard: the whole repeat group is foreign.
-                j = nxt[i]
-                i = j if j < stop else stop
-                continue
-            kind = kinds[i]
-            if (w_get(var, -1) == cur_w if kind
-                    else r_get(var, -1) == current):
-                j = nxt[i]
-                if j > stop:
-                    j = stop
-                fast += j - i
-                i = j
-                continue
-            self._gidx = gbase + i
-            access = batch.access_at(i)
-            if kind:
-                self._write(access)
-            else:
-                self._read(access)
             j = nxt[i]
             if j > stop:
                 j = stop

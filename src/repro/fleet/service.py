@@ -84,9 +84,6 @@ class FleetConfig:
     backlog_budget: Optional[int] = None
     jobs: int = 1
     executor: str = "serial"
-    #: Address shards for the FastTrack pass inside each worker (1 =
-    #: serial detection; results are bit-identical either way).
-    detect_shards: int = 1
 
     # Race confirmation (schedule-controlled replay verdicts).
     confirm: bool = False
@@ -158,14 +155,9 @@ class FleetConfig:
             "backlog_budget": self.backlog_budget,
             "jobs": self.jobs,
             "executor": self.executor,
-            # Only recorded when sharding is on: detection results are
-            # identical at any shard count, so the default key (and with
-            # it existing checkpoint journals) stays stable.
-            **({"detect_shards": self.detect_shards}
-               if self.detect_shards != 1 else {}),
-            # Likewise only recorded when confirmation is on: it changes
-            # what the analysis stage computes, so it must enter the
-            # journal key — but non-confirming keys stay historical.
+            # Only recorded when confirmation is on: it changes what the
+            # analysis stage computes, so it must enter the journal key —
+            # but non-confirming keys stay historical.
             **({"confirm": True, "confirm_retries": self.confirm_retries}
                if self.confirm else {}),
         }
@@ -251,7 +243,6 @@ def run_fleet(
             ),
             fault_plan=worker_fault_plan,
             journal=journal,
-            detect_shards=config.detect_shards,
             confirm=config.confirm,
             confirm_retries=config.confirm_retries,
             confirm_seed=config.seed,

@@ -50,12 +50,7 @@ def _analyze_one(item: dict) -> dict:
                             item["threads"])
     bundle = read_trace_bytes(item["trace"], program=program,
                               allow_partial=item["salvaged"])
-    # Workers already live in the fleet's process pool; shard detection
-    # over threads to avoid nesting pools (bit-identical either way).
-    pipeline = OfflinePipeline(
-        program, detect_shards=item.get("detect_shards", 1),
-        detect_executor="thread",
-    )
+    pipeline = OfflinePipeline(program)
     result = pipeline.analyze(bundle)
     bug = RACE_BUGS.get(item["workload"])
     detected = (bug.detected(program, result) if bug is not None
@@ -176,17 +171,11 @@ def analyze_bundles(
     supervisor: Optional[SupervisorConfig] = None,
     fault_plan: Optional[WorkerFaultPlan] = None,
     journal=None,
-    detect_shards: int = 1,
     confirm: bool = False,
     confirm_retries: int = 5,
     confirm_seed: int = 0,
 ) -> AnalysisOutcome:
     """Run the sharded analysis stage over the ingested backlog.
-
-    *detect_shards* > 1 additionally shards the FastTrack pass inside
-    each worker by variable address (see
-    :mod:`repro.detector.sharded`) — orthogonal to the bundle-level
-    fan-out across workers.
 
     *confirm* additionally replays every reported race under schedule
     control (:mod:`repro.confirm`) inside the worker, so each race row
@@ -210,7 +199,6 @@ def analyze_bundles(
             "salvaged": a.salvaged,
             "shard": shard_of(a.bundle_id, shard_count),
             "trace": a.trace,
-            "detect_shards": detect_shards,
         }
         if confirm:
             # Only confirming runs grow these keys, so non-confirming

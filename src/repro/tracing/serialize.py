@@ -142,7 +142,8 @@ _PACKET_KINDS = (PacketKind.TIP, PacketKind.TNT, PacketKind.END,
 
 
 class TraceFormatError(TraceError):
-    """Raised on malformed or corrupted trace files."""
+    """Raised on malformed or corrupted trace files, and on bundles
+    with a field the container format cannot encode."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,9 @@ def trace_to_bytes(bundle: TraceBundle,
     The exact bytes :func:`write_trace` would put on disk — exposed
     separately so transports that ship trace bundles without touching
     the filesystem (the fleet spool of :mod:`repro.fleet`) serialize
-    through the same single code path.
+    through the same single code path.  Raises
+    :class:`TraceFormatError` when a record field does not fit its
+    fixed-width slot.
     """
     governed = bool(bundle.period_epochs) or bundle.governor is not None
     clocked = bundle.clock is not None
@@ -270,19 +273,25 @@ def trace_to_bytes(bundle: TraceBundle,
         version = 4 if clocked else 3 if governed else 2
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(f"unsupported write version {version}")
+    try:
+        sections: List[Tuple[int, bytes]] = [
+            (_SEC_META, _encode_meta(bundle)),
+            (_SEC_PEBS, _encode_samples(bundle.samples)),
+            (_SEC_SYNC, _encode_sync(bundle.sync_records)),
+            (_SEC_ALLOC, _encode_alloc(bundle.alloc_records)),
+        ]
+        for tid in sorted(bundle.pt_traces):
+            sections.append((_SEC_PT, _encode_pt(bundle.pt_traces[tid])))
+        if version >= 3 and governed:
+            sections.append((_SEC_EPOCHS, _encode_epochs(bundle)))
+        if version >= 4 and clocked:
+            sections.append((_SEC_CLOCK, _encode_clock(bundle.clock)))
+    except struct.error as error:
+        # A field outside its fixed-width slot: a negative tid, a
+        # register >= 2**64.
+        raise TraceFormatError(
+            f"cannot encode trace bundle: {error}") from None
     body = io.BytesIO()
-    sections: List[Tuple[int, bytes]] = [
-        (_SEC_META, _encode_meta(bundle)),
-        (_SEC_PEBS, _encode_samples(bundle.samples)),
-        (_SEC_SYNC, _encode_sync(bundle.sync_records)),
-        (_SEC_ALLOC, _encode_alloc(bundle.alloc_records)),
-    ]
-    for tid in sorted(bundle.pt_traces):
-        sections.append((_SEC_PT, _encode_pt(bundle.pt_traces[tid])))
-    if version >= 3 and governed:
-        sections.append((_SEC_EPOCHS, _encode_epochs(bundle)))
-    if version >= 4 and clocked:
-        sections.append((_SEC_CLOCK, _encode_clock(bundle.clock)))
     body.write(_HEADER.pack(MAGIC, version, 0, len(sections)))
     for kind, payload in sections:
         _write_section(body, kind, payload, version=version)

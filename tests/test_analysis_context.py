@@ -20,42 +20,7 @@ from repro.analysis import AnalysisContext, OfflinePipeline
 from repro.errors import UsageError
 from repro.isa import assemble
 from repro.tracing import trace_run
-
-# The pointer-flipper scenario of §5.1: `cell` holds a pointer that one
-# thread races on, and the main thread's reconstructed accesses go
-# *through* the emulated pointer value — detecting the race on `cell`
-# poisons it and forces a regeneration round.
-REGEN_ASM = """
-.global cell 0
-.array a1 1 1 1 1
-.array a2 2 2 2 2
-.reserve workbuf 16
-main:
-    spawn flipper, %rbx
-    mov $10, %rcx
-mloop:
-    mov $a1, %rax
-    mov %rax, cell(%rip)
-    mov %rcx, %r10
-    and $15, %r10
-    mov workbuf(,%r10,8), %r11
-    mov cell(%rip), %rsi
-    mov 8(%rsi), %rdx
-    dec %rcx
-    cmp $0, %rcx
-    jne mloop
-    join %rbx
-    halt
-flipper:
-    mov $10, %rcx
-floop:
-    mov $a2, %rax
-    mov %rax, cell(%rip)
-    dec %rcx
-    cmp $0, %rcx
-    jne floop
-    halt
-"""
+from tests.helpers import REGEN_ASM
 
 
 @pytest.fixture(scope="module")

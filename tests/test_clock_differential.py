@@ -4,12 +4,13 @@ Differential evidence for the uncertainty-aware merge keys
 (:func:`repro.detector.events.uncertain_merge_tsc`):
 
 * on clean traces, ``reconcile_clock=True`` snaps to the identity
-  model and every executor — scalar, columnar-batched, address-sharded
-  — returns verdicts bit-identical to the unreconciled run;
-* on clock-damaged traces the three executors still agree with *each
-  other* bit-for-bit: the corrected keys reach every backend the same
-  way, so reconciliation changes what is detected, never which
-  executor detects it.
+  model and returns verdicts bit-identical to the unreconciled run, and
+  every round of the batched pass matches the scalar reference
+  (:func:`tests.helpers.scalar_detection`);
+* on clock-damaged traces the batched pass still agrees with the
+  scalar reference round by round, bit-for-bit: the corrected keys
+  reach both merges the same way, so reconciliation changes what is
+  detected, never how the stream is fed.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.analysis import OfflinePipeline
 from repro.faults import FaultPlan, clock_plans
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
+from tests.helpers import assert_batched_matches_scalar
 
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
@@ -47,37 +49,27 @@ def _assert_identical(left, right):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_reconcile_flag_invisible_on_clean_traces(name, seed):
     """reconcile_clock=True on an undamaged trace: identity model,
-    verdicts bit-identical to the flag being off — in every executor."""
+    verdicts bit-identical to the flag being off, and to the scalar
+    reference."""
     program, bundle = _bundle(name, seed)
     plain = OfflinePipeline(program).analyze(bundle)
-    for kwargs in (
-        {},
-        {"batch": False},
-        {"detect_shards": 4, "detect_executor": "thread"},
-    ):
-        reconciled = OfflinePipeline(program, reconcile_clock=True,
-                                     **kwargs).analyze(bundle)
-        assert reconciled.clock is not None
-        assert not reconciled.clock.active
-        _assert_identical(plain, reconciled)
+    reconciled = assert_batched_matches_scalar(program, bundle,
+                                               reconcile_clock=True)
+    assert reconciled.clock is not None
+    assert not reconciled.clock.active
+    _assert_identical(plain, reconciled)
 
 
 @pytest.mark.parametrize("name", CORPUS)
 @pytest.mark.parametrize("plan_name",
                          ["clock-skew", "clock-regress", "clock-combined"])
 def test_executors_agree_under_clock_damage(name, plan_name):
-    """Scalar, batched and sharded reconciled runs agree bit-for-bit on
-    clock-damaged traces: uncertainty-clamped keys are executor-blind."""
+    """The batched reconciled pass agrees with the scalar reference
+    bit-for-bit on clock-damaged traces: uncertainty-clamped keys are
+    feed-blind."""
     plan = clock_plans(0.4, seed=7)[plan_name]
     program, bundle = _bundle(name, 7, plan)
-    scalar = OfflinePipeline(program, reconcile_clock=True,
-                             batch=False).analyze(bundle)
-    batched = OfflinePipeline(program, reconcile_clock=True).analyze(bundle)
-    sharded = OfflinePipeline(program, reconcile_clock=True,
-                              detect_shards=4,
-                              detect_executor="thread").analyze(bundle)
-    _assert_identical(scalar, batched)
-    _assert_identical(scalar, sharded)
+    assert_batched_matches_scalar(program, bundle, reconcile_clock=True)
 
 
 def test_reconciled_never_exceeds_clean_findings():

@@ -1,63 +1,54 @@
 """The columnar batch pipeline must be an invisible optimization.
 
-Three layers of differential evidence:
+Three layers of differential evidence against the scalar reference
+(:func:`tests.helpers.scalar_detection`: ``merged_events()`` fed one
+event at a time through ``sync``/``access``):
 
-* **pipeline-level**: ``batch=True`` (default), ``batch=False`` and
-  address-sharded ``detect_shards > 1`` produce bit-identical findings
-  over the Table 2 corpus, pristine and degraded — including
-  crash-truncated bundles, where suppression is baked into the batch
-  columns instead of filtered per event;
+* **pipeline-level**: every regeneration round of the batched
+  ``analyze()`` pass produces bit-identical reports and counters over
+  the Table 2 corpus, pristine and degraded — including crash-truncated
+  bundles, where suppression is baked into the batch columns instead of
+  filtered per event — and over a bundle that regenerates;
 * **stream-level**: the spliced batch merge enumerates exactly the
-  events (and keys, and global indices) the scalar heap merge does;
+  events (and keys) the scalar heap merge does;
 * **detector-level** (hypothesis): on random multi-thread access/sync
-  streams, ``feed_batch`` and per-shard ``feed_batch_shard`` + merge
-  agree with the scalar ``access()`` loop report-for-report, in order.
+  streams, ``feed_batch`` agrees with the scalar ``access()`` loop
+  report-for-report, in order.
 """
-
-import heapq
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import OfflinePipeline
 from repro.analysis.context import AnalysisContext
 from repro.detector.batch import BATCH_SYNC, EventBatch
 from repro.detector.events import ACCESS_READ, ACCESS_WRITE, SyncOp
 from repro.detector.fasttrack import FastTrack
 from repro.detector.vectorclock import Epoch, VectorClock
-from repro.faults import builtin_plans
+from repro.faults import builtin_plans, clock_plans
+from repro.isa import assemble
 from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
+from tests.helpers import REGEN_ASM, assert_batched_matches_scalar
 
 SCALE = WorkloadScale(iterations=8, threads=4)
 CORPUS = ("pfscan", "mysql-791", "apache-25520")
 PLANS = ("pebs-overflow", "pt-gap", "crash-truncation", "tsc-jitter")
+CLOCK_PLANS = ("clock-skew", "clock-regress", "clock-combined")
 
 
 def _bundle(name, seed, plan_name=None):
     program = RACE_BUGS[name].build(SCALE)
     bundle = trace_run(program, period=100, seed=seed)
-    if plan_name is not None:
+    if plan_name in CLOCK_PLANS:
+        bundle, _ = clock_plans(0.4, seed=seed)[plan_name].apply(bundle)
+    elif plan_name is not None:
         bundle, _ = builtin_plans(0.2, seed=seed)[plan_name].apply(bundle)
     return program, bundle
 
 
-def _assert_identical(scalar, batched):
-    fs = scalar.findings["fasttrack"]
-    fb = batched.findings["fasttrack"]
-    assert fs.races == fb.races
-    assert fs.sorted_addresses() == fb.sorted_addresses()
-    assert fs.accesses_processed == fb.accesses_processed
-    assert fs.sync_processed == fb.sync_processed
-    assert scalar.racy_addresses == batched.racy_addresses
-    assert [r.pair for r in scalar.races] == [r.pair for r in batched.races]
-    assert scalar.regeneration_rounds == batched.regeneration_rounds
-
-
 # ----------------------------------------------------------------------
-# Pipeline-level differential: batched vs scalar vs sharded
+# Pipeline-level differential: batched analyze() vs the scalar reference
 # ----------------------------------------------------------------------
 
 
@@ -65,48 +56,26 @@ def _assert_identical(scalar, batched):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_batched_matches_scalar_pristine(name, seed):
     program, bundle = _bundle(name, seed)
-    scalar = OfflinePipeline(program, batch=False).analyze(bundle)
-    batched = OfflinePipeline(program, batch=True).analyze(bundle)
-    _assert_identical(scalar, batched)
+    assert_batched_matches_scalar(program, bundle)
 
 
 @pytest.mark.parametrize("name", CORPUS)
 @pytest.mark.parametrize("plan_name", PLANS)
 def test_batched_matches_scalar_degraded(name, plan_name):
     program, bundle = _bundle(name, 0, plan_name)
-    scalar = OfflinePipeline(program, batch=False).analyze(bundle)
-    batched = OfflinePipeline(program, batch=True).analyze(bundle)
-    _assert_identical(scalar, batched)
+    assert_batched_matches_scalar(program, bundle)
 
 
-@pytest.mark.parametrize("shards", [2, 3])
-def test_sharded_matches_serial(shards):
-    for name in CORPUS:
-        program, bundle = _bundle(name, 0)
-        serial = OfflinePipeline(program).analyze(bundle)
-        sharded = OfflinePipeline(
-            program, detect_shards=shards).analyze(bundle)
-        _assert_identical(serial, sharded)
-        details = sharded.findings["fasttrack"].details
-        assert details["shards"] == shards
-
-
-def test_sharded_thread_executor_matches():
-    """The executor the fleet workers use (threads, to avoid nesting
-    process pools) is just as exact."""
-    program, bundle = _bundle("pfscan", 1)
-    serial = OfflinePipeline(program).analyze(bundle)
-    sharded = OfflinePipeline(
-        program, detect_shards=2, detect_executor="thread").analyze(bundle)
-    _assert_identical(serial, sharded)
-
-
-def test_sharded_matches_serial_on_truncated_bundle():
-    program, bundle = _bundle("apache-25520", 0, "crash-truncation")
-    serial = OfflinePipeline(program, batch=False).analyze(bundle)
-    sharded = OfflinePipeline(
-        program, detect_shards=3, detect_executor="thread").analyze(bundle)
-    _assert_identical(serial, sharded)
+def test_batched_matches_scalar_across_regeneration_rounds():
+    """Round by round on a bundle whose analysis regenerates (§5.1):
+    every poisoned round must match the scalar reference too."""
+    program = assemble(REGEN_ASM)
+    for seed in range(10):
+        bundle = trace_run(program, period=4, seed=seed)
+        result = assert_batched_matches_scalar(program, bundle)
+        if result.regeneration_rounds > 1:
+            return
+    pytest.fail("no seed produced a regenerating analysis")
 
 
 # ----------------------------------------------------------------------
@@ -114,11 +83,11 @@ def test_sharded_matches_serial_on_truncated_bundle():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("plan_name", [None, "crash-truncation"])
+@pytest.mark.parametrize("plan_name", (None,) + PLANS + CLOCK_PLANS)
 def test_merged_batches_enumerates_merged_events(plan_name):
     """Flattening the batch runs must reproduce the scalar stream
-    exactly: same events, same keys, contiguous global indices, and the
-    same truncation-suppression count."""
+    exactly: same events, same keys, and the same
+    truncation-suppression count."""
     program, bundle = _bundle("pfscan", 0, plan_name)
     ctx = AnalysisContext(program, bundle)
     ctx.replay()
@@ -129,20 +98,16 @@ def test_merged_batches_enumerates_merged_events(plan_name):
     flat = []
     for item in ctx.merged_batches():
         if item[0] == BATCH_SYNC:
-            _, op, gindex = item
-            flat.append((gindex, None, op))
+            flat.append((None, item[1]))
         else:
-            _, batch, start, stop, gindex = item
+            _, batch, start, stop = item
             assert 0 <= start < stop <= len(batch)
             for i in range(start, stop):
-                flat.append((gindex + i - start, batch.key_at(i),
-                             batch.access_at(i)))
+                flat.append((batch.key_at(i), batch.access_at(i)))
     assert ctx.suppressed_accesses == scalar_suppressed
 
     assert len(flat) == len(scalar)
-    assert [g for g, _, _ in flat] == list(range(len(scalar)))
-    for (gindex, key, event), (scalar_key, scalar_event) in zip(flat,
-                                                                scalar):
+    for (key, event), (scalar_key, scalar_event) in zip(flat, scalar):
         if key is not None:
             assert key == scalar_key
         assert event == scalar_event
@@ -152,13 +117,7 @@ def test_default_feed_batch_fallback_is_scalar():
     """A backend without a columnar fast path gets the default
     materialize-and-delegate feed_batch — same verdicts either way."""
     program, bundle = _bundle("mysql-791", 0)
-    scalar = OfflinePipeline(
-        program, detectors=("lockset",), batch=False).analyze(bundle)
-    batched = OfflinePipeline(
-        program, detectors=("lockset",), batch=True).analyze(bundle)
-    ls, lb = scalar.findings["lockset"], batched.findings["lockset"]
-    assert ls.races == lb.races
-    assert ls.accesses_processed == lb.accesses_processed
+    assert_batched_matches_scalar(program, bundle, detectors=("lockset",))
 
 
 # ----------------------------------------------------------------------
@@ -239,32 +198,28 @@ def _lower(stream):
     run/sync plan (the same shape ``merged_batches`` emits)."""
     batches = {}
     plan = []
-    gindex = 0
-    for event in stream:
+    for tick, event in enumerate(stream):
         if event[0] == "sync":
             _, tid, kind, lock = event
             plan.append(("sync", SyncOp(tid=tid, kind=kind,
                                         target=0x9000 + 16 * lock,
-                                        tsc=float(gindex))))
-            gindex += 1
+                                        tsc=float(tick))))
             continue
         _, tid, var, is_write = event
         batch = batches.get(tid)
         if batch is None:
             batch = batches[tid] = _hand_batch(tid, [])
         position = len(batch)
-        batch.tscs.append(float(gindex))
+        batch.tscs.append(float(tick))
         batch.vars.append((0x8000 + 8 * var, 0))
         batch.kinds.append(ACCESS_WRITE if is_write else ACCESS_READ)
         batch.ips.append(1000 * tid + position)
         batch.steps.append(position)
         batch.prov_codes.append(0)
         if plan and plan[-1][0] == "run" and plan[-1][1] is batch:
-            plan[-1] = ("run", batch, plan[-1][2], position + 1,
-                        plan[-1][4])
+            plan[-1] = ("run", batch, plan[-1][2], position + 1)
         else:
-            plan.append(("run", batch, position, position + 1, gindex))
-        gindex += 1
+            plan.append(("run", batch, position, position + 1))
     return batches, plan
 
 
@@ -274,7 +229,7 @@ def _run_scalar(plan):
         if item[0] == "sync":
             detector.sync(item[1])
         else:
-            _, batch, start, stop, _base = item
+            _, batch, start, stop = item
             for i in range(start, stop):
                 detector.access(batch.access_at(i))
     return detector
@@ -286,29 +241,9 @@ def _run_batched(plan):
         if item[0] == "sync":
             detector.sync(item[1])
         else:
-            _, batch, start, stop, base = item
-            detector.feed_batch(batch, start, stop, base)
+            _, batch, start, stop = item
+            detector.feed_batch(batch, start, stop)
     return detector
-
-
-def _run_sharded(plan, nshards):
-    per_shard = []
-    for shard in range(nshards):
-        detector = FastTrack()
-        for item in plan:
-            if item[0] == "sync":
-                detector.sync(item[1])
-            else:
-                _, batch, start, stop, base = item
-                detector.feed_batch_shard(batch, start, stop, base,
-                                          shard, nshards)
-        per_shard.append(detector)
-    merged = heapq.merge(
-        *(list(zip(d.race_indices, d.races)) for d in per_shard),
-        key=itemgetter(0))
-    races = [report for _gidx, report in merged]
-    accesses = sum(d.accesses_processed for d in per_shard)
-    return races, accesses
 
 
 @given(stream=_STREAM)
@@ -322,33 +257,21 @@ def test_feed_batch_matches_scalar_access_loop(stream):
     assert batched.sync_processed == scalar.sync_processed
 
 
-@given(stream=_STREAM, nshards=st.integers(min_value=1, max_value=3))
-@settings(max_examples=60, deadline=None)
-def test_sharded_merge_matches_scalar_order(stream, nshards):
-    _batches, plan = _lower(stream)
-    scalar = _run_scalar(plan)
-    races, accesses = _run_sharded(plan, nshards)
-    assert races == scalar.races
-    assert accesses == scalar.accesses_processed
-
-
-def test_race_indices_are_global_stream_positions():
-    """Regression: a run starting deep inside one batch must not tag
-    its reports with inflated indices, or the per-shard k-way merge
-    reorders nearby races from different shards.  Thread 1's second run
-    starts at batch position 50 while thread 2's runs start near 0; the
-    two races land at consecutive stream positions 51 and 52."""
+def test_feed_batch_matches_scalar_on_mid_batch_runs():
+    """Runs that start deep inside one batch (thread 1's second run
+    starts at batch position 50) next to runs starting near 0 (thread
+    2's): the two races at consecutive stream positions must come out
+    in scalar order."""
     stream = []
     for g in range(50):  # t1 filler; vC at stream position 10
         stream.append(("access", 1, 3 if g == 10 else 0, True))
     stream[0] = ("access", 1, 1, True)
-    stream.append(("access", 2, 2, True))   # gidx 50: t2 writes vB
-    stream.append(("access", 1, 2, True))   # gidx 51: race on vB
-    stream.append(("access", 2, 3, True))   # gidx 52: race on vC
+    stream.append(("access", 2, 2, True))   # t2 writes vB
+    stream.append(("access", 1, 2, True))   # race on vB
+    stream.append(("access", 2, 3, True))   # race on vC
     _batches, plan = _lower(stream)
-    batched = _run_batched(plan)
-    assert batched.race_indices == [51, 52]
+    assert [item[2] for item in plan] == [0, 0, 50, 1]
     scalar = _run_scalar(plan)
-    for nshards in (2, 3):
-        races, _ = _run_sharded(plan, nshards)
-        assert races == scalar.races == batched.races
+    batched = _run_batched(plan)
+    assert len(scalar.races) == 2
+    assert batched.races == scalar.races

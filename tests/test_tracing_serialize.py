@@ -1,13 +1,15 @@
 """Trace-file serialization tests: round-trip, corruption, analysis
 equivalence."""
 
+import dataclasses
 import struct
 
 import pytest
 
 from repro.analysis import OfflinePipeline
 from repro.isa import assemble
-from repro.tracing import TraceFormatError, read_trace, trace_run, write_trace
+from repro.tracing import (TraceFormatError, read_trace, trace_run,
+                           trace_to_bytes, write_trace)
 
 from tests.helpers import CLEAN_COUNTER_ASM, RACY_ASM
 
@@ -203,6 +205,27 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+
+class TestUnencodableFields:
+    """Out-of-range record fields fail at write time with a typed
+    error, never a bare ``struct.error``."""
+
+    @pytest.mark.parametrize("change", [
+        {"tid": -1},
+        {"registers": {"rax": 1 << 64}},
+    ], ids=["negative-tid", "register-2**64"])
+    def test_out_of_range_sample_field(self, traced, tmp_path, change):
+        _program, bundle = traced
+        sample = dataclasses.replace(bundle.samples[0], **change)
+        damaged = dataclasses.replace(
+            bundle, samples=[sample] + bundle.samples[1:])
+        with pytest.raises(TraceFormatError, match="cannot encode"):
+            trace_to_bytes(damaged)
+        path = tmp_path / "t.prtr"
+        with pytest.raises(TraceFormatError):
+            write_trace(damaged, path)
+        assert not path.exists()
 
 
 class TestDriverTag:
