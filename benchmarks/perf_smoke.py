@@ -4,8 +4,7 @@ A deliberately small, fast guard (seconds, not minutes) run on every CI
 build; the full measurements live in ``benchmarks/test_replay_speed.py``
 and ``docs/performance.md``.  Fails loudly if the compiled replay path
 stops being faster than the instruction interpreter on the forward
-reconstruction hot loop, if a warm summary cache stops beating a plain
-micro-op re-replay, or if the detector-backend registry's indirection
+reconstruction hot loop, or if the detector-backend registry's indirection
 makes the FastTrack fast path measurably slower than constructing
 FastTrack directly (the backend refactor's <5% contract against the
 BENCH_replay.json fast-path numbers).
@@ -30,14 +29,12 @@ from repro.detector.fasttrack import FastTrack
 from repro.detector.registry import create_backend
 from repro.fleet import RaceDatabase
 from repro.machine import Machine, ScheduleController
-from repro.replay import BlockSummaryCache, ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import PARSEC_WORKLOADS, WorkloadScale
 
 # Generous margins: CI runners are noisy, and this guard should only
-# trip on real regressions (measured locally: ~2x and ~1.8x).
+# trip on real regressions (measured: 2.7-3.3x on a 2-core container).
 MIN_JIT_SPEEDUP = 1.15
-MIN_WARM_SPEEDUP = 1.05
 #: Registry indirection budget over direct FastTrack (the loops are
 #: identical after the pipeline's method pre-binding, so anything above
 #: this is a real protocol regression, not noise).
@@ -79,18 +76,6 @@ def _recon_seconds(program, bundle, jit):
         seconds = result.timings.reconstruction_seconds
         if best is None or seconds < best:
             best = seconds
-    return best
-
-
-def _replay_seconds(program, bundle, cache):
-    best = None
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        ReplayEngine(program, jit=True,
-                     summary_cache=cache).replay_bundle(bundle)
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best:
-            best = elapsed
     return best
 
 
@@ -292,15 +277,6 @@ def main():
     print(f"forward reconstruction: interpreter {interp * 1e3:.1f} ms, "
           f"micro-op {jit * 1e3:.1f} ms -> {speedup:.2f}x")
 
-    cache = BlockSummaryCache()
-    _replay_seconds(program, bundle, cache)  # cold round warms the cache
-    plain = _replay_seconds(program, bundle, None)
-    warm = _replay_seconds(program, bundle, cache)
-    warm_speedup = plain / warm
-    print(f"bundle re-replay: plain micro-op {plain * 1e3:.1f} ms, "
-          f"warm cache {warm * 1e3:.1f} ms -> {warm_speedup:.2f}x "
-          f"({cache.window_hits} window memo hits)")
-
     accesses = _detector_stream()
     direct = _detector_seconds(FastTrack, accesses)
     registered = _detector_seconds(
@@ -374,12 +350,6 @@ def main():
         failures.append(
             f"micro-op replay only {speedup:.2f}x vs interpreter "
             f"(floor {MIN_JIT_SPEEDUP}x)")
-    if warm_speedup < MIN_WARM_SPEEDUP:
-        failures.append(
-            f"warm summary cache only {warm_speedup:.2f}x vs plain "
-            f"micro-op (floor {MIN_WARM_SPEEDUP}x)")
-    if cache.window_hits == 0:
-        failures.append("warm re-replay produced no window memo hits")
     for failure in failures:
         print(f"PERF REGRESSION: {failure}", file=sys.stderr)
     return 1 if failures else 0

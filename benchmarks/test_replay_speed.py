@@ -1,13 +1,10 @@
-"""Replay-compilation speed: interpreter vs micro-op IR vs warm summaries.
+"""Replay-compilation speed: interpreter vs micro-op IR.
 
-The compiled replay path (``docs/performance.md``) promises three things,
+The compiled replay path (``docs/performance.md``) promises two things,
 each measured here and written to ``benchmarks/results/BENCH_replay.json``:
 
 * the micro-op executor beats the instruction interpreter by ≥2x on the
-  forward-replay hot loop (reconstruction phase, decode excluded),
-* a warm summary cache (span summaries + whole-window memos) beats
-  plain micro-op replay when the same trace is replayed repeatedly (the
-  analysis-service scenario), and
+  forward-replay hot loop (reconstruction phase, decode excluded), and
 * the FastTrack fast paths sustain a healthy events/sec rate.
 
 Assertions are shape-level with slack for CI-runner noise; the JSON keeps
@@ -20,7 +17,7 @@ import time
 from repro.analysis import OfflinePipeline
 from repro.detector.events import Access, AccessKind
 from repro.detector.fasttrack import FastTrack
-from repro.replay import BlockSummaryCache, ReplayEngine
+from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import PARSEC_WORKLOADS
 
@@ -28,7 +25,6 @@ from conftest import write_table
 
 WORKLOAD_NAMES = ("blackscholes", "swaptions")
 PERIOD = 50
-ROUNDS = 3
 REPEATS = 3
 
 
@@ -89,32 +85,6 @@ def _bundle_replay(program, bundle):
     }
 
 
-def _multi_round(program, bundle):
-    """Replay the same bundle ROUNDS times: plain micro-op vs a shared
-    summary cache (round 1 cold + recording, later rounds warm)."""
-
-    def plain():
-        for _ in range(ROUNDS):
-            ReplayEngine(program, jit=True).replay_bundle(bundle)
-
-    def cached():
-        cache = BlockSummaryCache()
-        for _ in range(ROUNDS):
-            ReplayEngine(program, jit=True,
-                         summary_cache=cache).replay_bundle(bundle)
-        return cache
-
-    t_plain, _ = _best(plain)
-    t_cached, cache = _best(cached)
-    return {
-        "rounds": ROUNDS,
-        "plain_seconds": t_plain,
-        "cached_seconds": t_cached,
-        "speedup_vs_plain": t_plain / t_cached,
-        "cache": cache.stats_dict(),
-    }
-
-
 def _fasttrack_events():
     """Detector throughput on a read-heavy stream (the shape replay
     produces: most accesses re-read a location in the same epoch and
@@ -153,7 +123,6 @@ def measure(profile):
         results["workloads"][name] = {
             "forward_hot_loop": _forward_hot_loop(program, bundle),
             "bundle_replay": _bundle_replay(program, bundle),
-            "multi_round": _multi_round(program, bundle),
         }
     results["fasttrack"] = _fasttrack_events()
     return results
@@ -166,17 +135,14 @@ def test_replay_speed(benchmark, profile, results_dir):
     (results_dir / "BENCH_replay.json").write_text(
         json.dumps(results, indent=2) + "\n")
 
-    header = (f"{'Workload':14s}{'hot-loop x':>11s}{'bundle x':>10s}"
-              f"{'multi-round x':>15s}{'window hits':>13s}")
-    lines = [f"(period {PERIOD}, {ROUNDS} rounds, min of {REPEATS})",
+    header = f"{'Workload':14s}{'hot-loop x':>11s}{'bundle x':>10s}"
+    lines = [f"(period {PERIOD}, min of {REPEATS})",
              header, "-" * len(header)]
     for name, row in results["workloads"].items():
         lines.append(
             f"{name:14s}"
             f"{row['forward_hot_loop']['microop']['speedup_vs_interpreter']:11.2f}"
             f"{row['bundle_replay']['microop']['speedup_vs_interpreter']:10.2f}"
-            f"{row['multi_round']['speedup_vs_plain']:15.2f}"
-            f"{row['multi_round']['cache']['window_hits']:13d}"
         )
     ft = results["fasttrack"]
     lines.append("")
@@ -190,8 +156,5 @@ def test_replay_speed(benchmark, profile, results_dir):
     assert min(hot) > 1.5
     for row in results["workloads"].values():
         assert row["bundle_replay"]["microop"]["speedup_vs_interpreter"] > 1.2
-        multi = row["multi_round"]
-        assert multi["cached_seconds"] < multi["plain_seconds"]
-        assert multi["cache"]["window_hits"] > 0
     assert ft["events_per_sec"] > 100_000
     assert ft["races_found"] > 0

@@ -95,7 +95,6 @@ from ..replay.engine import (
     ReplayStats,
     ThreadReplay,
 )
-from ..replay.summary import BlockSummaryCache
 from ..replay.window import PROV_SAMPLED, RecoveredAccess
 from ..tracing.bundle import TraceBundle
 from .generations import AllocationIndex
@@ -135,9 +134,9 @@ class AnalysisContext:
         round_cache: when False, every :meth:`replay` call recomputes all
             threads from scratch (the reference behaviour the incremental
             path is property-tested against).
-        jit: replay windows through the pre-lowered micro-op executor
-            with the shared block effect-summary cache; False falls back
-            to the instruction interpreter (bit-identical results).
+        jit: replay windows through the pre-lowered micro-op executor;
+            False falls back to the instruction interpreter, its
+            bit-identical test reference.
         clock: a reconciled :class:`~repro.clock.model.ClockModel` for
             *bundle* (whose timestamps must already be corrected, see
             :func:`~repro.clock.repair.apply_clock_correction`).  Event
@@ -181,13 +180,6 @@ class AnalysisContext:
             from ..supervise import RunLedger
 
             self.run_ledger = RunLedger()
-        #: Block effect-summary cache, shared by the §5.2.2 fixed-point
-        #: iterations, the per-thread replay fan-out and every §5.1
-        #: regeneration round of this context (poison-set changes select
-        #: a fresh scope inside the cache rather than clearing it).
-        self.summary_cache: Optional[BlockSummaryCache] = (
-            BlockSummaryCache() if jit else None
-        )
         self.stats = ContextStats()
         #: Wall-clock accumulators for the Figure 12 breakdown.  Timeline
         #: construction is attributed to reconstruction — always, in both
@@ -529,7 +521,7 @@ class AnalysisContext:
             self.program, mode=self.replay_mode,
             max_iterations=self.max_iterations, poisoned=poisoned,
             jobs=self.jobs, executor=self.executor,
-            jit=self.jit, summary_cache=self.summary_cache,
+            jit=self.jit,
             supervisor=self.supervisor,
         )
         changed = False
@@ -546,10 +538,10 @@ class AnalysisContext:
                 continue
             old = self._threads.get(replay.tid)
             # Compare the reconstructed access streams, not the whole
-            # ThreadReplay: stats vary with summary-cache warmth while
-            # the output stays bit-identical, and a spurious "changed"
-            # here would cost an extra regeneration round (and make
-            # --no-jit converge differently).
+            # ThreadReplay: a grown poison set can change a thread's
+            # stats and touched set while its accesses stay identical,
+            # and a spurious "changed" here would cost an extra
+            # regeneration round.
             if old is None or old.accesses != replay.accesses:
                 changed = True
                 self._access_events.pop(replay.tid, None)

@@ -240,10 +240,10 @@ class OfflinePipeline:
         round_cache: when False, regeneration rounds recompute every
             thread from scratch (the reference behaviour the incremental
             context is property-tested against).
-        jit: replay through the pre-lowered micro-op executor with the
-            block effect-summary cache; False (the ``--no-jit`` escape
-            hatch) uses the instruction interpreter.  Results are
-            bit-identical either way.
+        jit: replay through the pre-lowered micro-op executor; False
+            (the ``--no-jit`` escape hatch) uses the instruction
+            interpreter, its test reference.  Results are bit-identical
+            either way.
         detectors: registry names of the detector backends to run over
             the merged event stream — all of them side-by-side in one
             decode/replay pass.  The first name is the *primary*

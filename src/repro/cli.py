@@ -342,12 +342,31 @@ def _clock_fault_plan_from(args: argparse.Namespace):
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and periods: an integer of at least 1
+    (anything else exits 2 with a usage message)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_int_list(text: str) -> list:
+    """argparse type for a comma-separated list of positive integers."""
+    return [_positive_int(item) for item in text.split(",")]
+
+
 def _add_program_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("program", help="workload/bug name, or - with "
                                         "--source")
     parser.add_argument("--source", help="assembly source file to use "
                                          "instead of a catalogued name")
-    parser.add_argument("--iterations", type=int, default=40,
+    parser.add_argument("--iterations", type=_positive_int, default=40,
                         help="workload scale (default 40)")
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
@@ -591,14 +610,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .workloads import RACE_BUGS
 
     scale = _scale_from(args)
-    periods = [int(p) for p in args.periods.split(",")]
     if args.kind == "detection":
         bugs = (
             {args.target: RACE_BUGS[args.target]}
             if args.target else RACE_BUGS
         )
         result = detection_sweep(
-            bugs, scale, periods=periods, runs=args.runs, mode=args.mode,
+            bugs, scale, periods=args.periods, runs=args.runs, mode=args.mode,
             driver=_DRIVERS[args.driver], jobs=args.jobs,
             supervisor=_supervisor_from(args),
             checkpoint_dir=args.checkpoint_dir, resume=args.resume,
@@ -617,7 +635,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(f"unknown workload {args.target!r}")
         workloads = {args.target: ALL_WORKLOADS[args.target]}
     sweep = overhead_sweep if args.kind == "overhead" else tracesize_sweep
-    print(sweep(workloads, scale, periods=periods,
+    print(sweep(workloads, scale, periods=args.periods,
                 driver=_DRIVERS[args.driver]).render())
     return 0
 
@@ -1046,9 +1064,8 @@ def cmd_shootout(args: argparse.Namespace) -> int:
 
 def cmd_overhead(args: argparse.Namespace) -> int:
     program = _resolve_program(args.program, _scale_from(args), args.source)
-    periods = [int(p) for p in args.periods.split(",")]
     print(f"{'period':>10s} {'prorace':>10s} {'vanilla':>10s}")
-    for period in periods:
+    for period in args.periods:
         row = []
         for driver in (PRORACE_DRIVER, VANILLA_DRIVER):
             bundle = trace_run(program, period=period, driver=driver,
@@ -1171,7 +1188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser("trace", help="trace a run to a file")
     _add_program_args(trace_parser)
-    trace_parser.add_argument("--period", type=int, default=1_000)
+    trace_parser.add_argument("--period", type=_positive_int,
+                              default=1_000)
     trace_parser.add_argument("--driver", choices=sorted(_DRIVERS),
                               default="prorace")
     trace_parser.add_argument("-o", "--output", default="trace.prtr")
@@ -1222,13 +1240,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect_parser = sub.add_parser("detect", help="trace + analyze")
     _add_program_args(detect_parser)
-    detect_parser.add_argument("--period", type=int, default=1_000)
+    detect_parser.add_argument("--period", type=_positive_int,
+                               default=1_000)
     detect_parser.add_argument("--driver", choices=sorted(_DRIVERS),
                                default="prorace")
     detect_parser.add_argument("--mode", default="full",
                                choices=("full", "forward", "basicblock",
                                         "sampled"))
-    detect_parser.add_argument("--runs", type=int, default=1,
+    detect_parser.add_argument("--runs", type=_positive_int, default=1,
                                help="seeded runs to aggregate")
     detect_parser.add_argument("--jobs", type=int, default=1,
                                help="workers: across runs when --runs > 1; "
@@ -1257,7 +1276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_program_args(confirm_parser)
     confirm_parser.add_argument(
-        "--period", type=int, default=100,
+        "--period", type=_positive_int, default=100,
         help="sampling period of the evidence trace (denser than "
              "detect's default: the witness planner wants events)",
     )
@@ -1280,6 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_args(overhead_parser)
     overhead_parser.add_argument(
         "--periods", default="10,100,1000,10000,100000",
+        type=_positive_int_list,
         help="comma-separated period list",
     )
 
@@ -1290,8 +1310,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                "detection"))
     sweep_parser.add_argument("--target",
                               help="one workload/bug (default: all)")
-    sweep_parser.add_argument("--periods", default="100,1000,10000")
-    sweep_parser.add_argument("--runs", type=int, default=5,
+    sweep_parser.add_argument("--periods", default="100,1000,10000",
+                              type=_positive_int_list)
+    sweep_parser.add_argument("--runs", type=_positive_int, default=5,
                               help="runs per detection cell")
     sweep_parser.add_argument("--mode", default="full",
                               choices=("full", "forward", "basicblock",
@@ -1300,7 +1321,8 @@ def build_parser() -> argparse.ArgumentParser:
                               default="prorace")
     sweep_parser.add_argument("--jobs", type=int, default=1,
                               help="workers for detection-sweep trials")
-    sweep_parser.add_argument("--iterations", type=int, default=40)
+    sweep_parser.add_argument("--iterations", type=_positive_int,
+                              default=40)
     sweep_parser.add_argument("--threads", type=int, default=4)
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--json", action="store_true",
@@ -1317,8 +1339,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--bugs", default="",
         help="comma-separated bug names (default: all of Table 2)",
     )
-    shootout_parser.add_argument("--period", type=int, default=100)
-    shootout_parser.add_argument("--runs", type=int, default=3,
+    shootout_parser.add_argument("--period", type=_positive_int,
+                                 default=100)
+    shootout_parser.add_argument("--runs", type=_positive_int, default=3,
                                  help="seeded runs per bug")
     shootout_parser.add_argument("--mode", default="full",
                                  choices=("full", "forward", "basicblock",
@@ -1332,7 +1355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shootout_parser.add_argument("--jobs", type=int, default=1,
                                  help="workers for the trial grid")
-    shootout_parser.add_argument("--iterations", type=int, default=40)
+    shootout_parser.add_argument("--iterations", type=_positive_int,
+                                 default=40)
     shootout_parser.add_argument("--threads", type=int, default=4)
     shootout_parser.add_argument("--seed", type=int, default=0)
     shootout_parser.add_argument("--json", action="store_true",
@@ -1349,13 +1373,14 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[fault_parent],
     )
     _add_program_args(chaos_parser)
-    chaos_parser.add_argument("--period", type=int, default=100)
+    chaos_parser.add_argument("--period", type=_positive_int,
+                              default=100)
     chaos_parser.add_argument("--driver", choices=sorted(_DRIVERS),
                               default="prorace")
     chaos_parser.add_argument("--mode", default="full",
                               choices=("full", "forward", "basicblock",
                                        "sampled"))
-    chaos_parser.add_argument("--runs", type=int, default=3,
+    chaos_parser.add_argument("--runs", type=_positive_int, default=3,
                               help="seeded runs per cell")
     chaos_parser.add_argument("--plans", default="",
                               help="comma-separated fault plan names "
@@ -1408,7 +1433,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated race-bug names the nodes run "
              "(node i runs workloads[i %% len]; default apache-25520)",
     )
-    fleet_parser.add_argument("--iterations", type=int, default=12)
+    fleet_parser.add_argument("--iterations", type=_positive_int,
+                              default=12)
     fleet_parser.add_argument("--threads", type=int, default=4)
     fleet_parser.add_argument("--seed", type=int, default=0)
     fleet_parser.add_argument(

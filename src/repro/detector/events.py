@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from ..replay.program_map import Taint
+from typing import FrozenSet, Optional, Tuple
 
 
 class AccessKind(enum.Enum):
@@ -122,7 +120,9 @@ class Access:
     ip: int
     tsc: float
     provenance: str
-    taint: Taint = None
+    #: Emulated addresses the reconstructed address depended on (see
+    #: ``repro.replay.program_map.Taint``); None when untainted.
+    taint: Optional[FrozenSet[int]] = None
 
     @property
     def address(self) -> int:

@@ -27,7 +27,6 @@ from ..parallel import parallel_map
 from ..ptdecode.decoder import AlignedSample, DecodedPath, align_samples, decode_all
 from ..tracing.bundle import TraceBundle
 from .program_map import Known
-from .summary import BlockSummaryCache
 from .window import (
     PROV_BACKWARD,
     PROV_BASICBLOCK,
@@ -80,13 +79,10 @@ class ReplayStats:
     #: Replay windows cut short at PT gap boundaries: state must not be
     #: carried across a resynchronization point (degradation metric).
     windows_aborted: int = 0
-    #: Steps actually stepped across all forward passes (summary-cache
-    #: hits skip their spans, so this measures real replay work).
+    #: Steps stepped across all forward passes (the replay work).
     executed_steps: int = 0
-    #: Effect-summary cache hits and the steps those hits skipped.
-    summary_hits: int = 0
+    #: Always 0; kept only because the e2e benchmark corpus reads them.
     summary_steps: int = 0
-    #: Whole windows served from the window memo (no passes run).
     window_hits: int = 0
 
     def merge(self, other: "ReplayStats") -> None:
@@ -99,9 +95,6 @@ class ReplayStats:
         self.iterations += other.iterations
         self.windows_aborted += other.windows_aborted
         self.executed_steps += other.executed_steps
-        self.summary_hits += other.summary_hits
-        self.summary_steps += other.summary_steps
-        self.window_hits += other.window_hits
 
     @property
     def recovered(self) -> int:
@@ -167,7 +160,6 @@ class ReplayEngine:
         jobs: int = 1,
         executor: str = "thread",
         jit: bool = True,
-        summary_cache: Optional[BlockSummaryCache] = None,
         supervisor=None,
     ) -> None:
         if mode not in _MODES:
@@ -180,14 +172,13 @@ class ReplayEngine:
         #: replays are independent (§7.6).
         self.jobs = max(1, jobs)
         self.executor = executor
-        #: Replay windows through the pre-lowered micro-op executor.  The
-        #: compiled form itself is never stored here: engines are pickled
-        #: into process-executor workers and the bound ALU callables
-        #: don't pickle, so workers re-derive it via ``lowered()`` (a
-        #: per-process memoized lookup).
+        #: Replay windows through the pre-lowered micro-op executor
+        #: (False: the instruction interpreter, its bit-identical test
+        #: reference).  The compiled form itself is never stored here:
+        #: engines are pickled into process-executor workers and the bound
+        #: ALU callables don't pickle, so workers re-derive it via
+        #: ``lowered()`` (a per-process memoized lookup).
         self.jit = jit
-        #: Shared block effect-summary cache (micro-op path only).
-        self.summary_cache = summary_cache if jit else None
         #: Optional :class:`~repro.supervise.SupervisorConfig`: the
         #: per-thread fan-out then runs under the supervised runtime
         #: (retries, timeouts, crash isolation) instead of the plain
@@ -298,18 +289,6 @@ class ReplayEngine:
             touched=frozenset(touched),
         )
 
-    def replay_thread(
-        self,
-        path: DecodedPath,
-        aligned: Sequence[AlignedSample],
-        stats: Optional[ReplayStats] = None,
-    ) -> List[RecoveredAccess]:
-        """Compatibility wrapper around :meth:`replay_thread_full`."""
-        replay = self.replay_thread_full(path, aligned)
-        if stats is not None:
-            stats.merge(replay.stats)
-        return replay.accesses
-
     # ------------------------------------------------------------------
 
     def _fold_window(self, stats: Optional[ReplayStats],
@@ -320,9 +299,6 @@ class ReplayEngine:
         stats.windows += 1
         stats.iterations += replayer.stats.iterations
         stats.executed_steps += replayer.stats.steps_executed
-        stats.summary_hits += replayer.stats.summary_hits
-        stats.summary_steps += replayer.stats.summary_steps
-        stats.window_hits += replayer.stats.window_hit
 
     def _replay_windows(
         self,
@@ -374,7 +350,6 @@ class ReplayEngine:
         memory: Dict[int, Known] = {}
         backward = self.mode == "full"
         compiled = lowered(self.program) if self.jit else None
-        cache = self.summary_cache
 
         # Head window: segment start up to the first sample — backward-
         # replay territory (plus PC-relative forward recovery).
@@ -385,7 +360,7 @@ class ReplayEngine:
                 exit_registers=contexts[0] if backward else None,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                compiled=compiled, summary_cache=cache,
+                compiled=compiled,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -397,7 +372,7 @@ class ReplayEngine:
                 self.program, path.steps, seg_lo, seg_hi, path.tid,
                 entry_registers=None, exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                compiled=compiled, summary_cache=cache,
+                compiled=compiled,
             )
             accesses = replayer.run()
             self._fold_window(stats, replayer)
@@ -420,7 +395,7 @@ class ReplayEngine:
                 entry_memory=memory,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                compiled=compiled, summary_cache=cache,
+                compiled=compiled,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -440,7 +415,6 @@ class ReplayEngine:
         accesses: List[RecoveredAccess] = []
         touched: set = set()
         compiled = lowered(self.program) if self.jit else None
-        cache = self.summary_cache
         for item in aligned:
             lo, hi = self._block_bounds(path, item.step_index)
             # Forward within the block, from the sample.
@@ -449,7 +423,7 @@ class ReplayEngine:
                 entry_registers=item.sample.registers,
                 exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                compiled=compiled, summary_cache=cache,
+                compiled=compiled,
             )
             accesses.extend(fwd.run())
             touched |= fwd.touched
@@ -461,7 +435,7 @@ class ReplayEngine:
                     entry_registers=None,
                     exit_registers=item.sample.registers,
                     poisoned=self.poisoned, max_iterations=2,
-                    compiled=compiled, summary_cache=cache,
+                    compiled=compiled,
                 )
                 accesses.extend(bwd.run())
                 touched |= bwd.touched

@@ -41,6 +41,13 @@ class WorkloadScale:
     io_cycles: int = 400
     thread_cap: int = 8
 
+    def __post_init__(self) -> None:
+        # Workload loops count down to zero: a trip count below 1 would
+        # wrap the counter and never terminate.
+        if self.iterations < 1:
+            raise ValueError(
+                f"iterations must be at least 1, got {self.iterations}")
+
     def capped_threads(self, natural: int) -> int:
         return max(1, min(natural, self.thread_cap))
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from repro.analysis import OfflinePipeline
 from repro.detector.events import SyncOp
 from repro.detector.registry import create_backend
+from repro.isa.lowering import lowered
 from repro.machine import Machine
+from repro.replay import WindowReplayer
 
 #: A small two-thread program with a lock-protected counter (no races).
 CLEAN_COUNTER_ASM = """
@@ -134,6 +136,18 @@ def record_states(program, seed=0, num_cores=4):
     machine._step = wrapped
     machine.run()
     return machine, states
+
+
+def window_replayers(program, steps, start, end, **kwargs):
+    """The same window once per executor: the instruction interpreter
+    (``compiled=None``) and the production micro-op loop
+    (``compiled=lowered(program)``).  Window tests run every assertion
+    on both."""
+    return [
+        WindowReplayer(program, steps, start, end, compiled=compiled,
+                       **kwargs)
+        for compiled in (None, lowered(program))
+    ]
 
 
 def scalar_detection(context, detectors=("fasttrack",),

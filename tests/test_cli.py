@@ -232,6 +232,38 @@ class TestDetect:
         assert "no data races detected" in out
 
 
+class TestPositiveIntArguments:
+    """Counts and periods below 1 (or not integers) are usage errors:
+    exit 2 with a message, never a hang, a traceback or exit 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ("detect", "aget-bug2", "--iterations", "0"),
+        ("detect", "aget-bug2", "--iterations", "-3"),
+        ("detect", "aget-bug2", "--period", "0"),
+        ("detect", "aget-bug2", "--period", "-5"),
+        ("detect", "aget-bug2", "--runs", "0"),
+        ("detect", "aget-bug2", "--runs", "two"),
+        ("trace", "aget-bug2", "--period", "0", "-o", "unused.prtr"),
+        ("analyze", "aget-bug2", "unused.prtr", "--iterations", "0"),
+        ("confirm", "aget-bug2", "--period", "0"),
+        ("shootout", "--runs", "0"),
+        ("chaos", "aget-bug2", "--period", "-1"),
+        ("fleet", "--iterations", "0"),
+        ("sweep", "detection", "--periods", "abc"),
+        ("sweep", "detection", "--periods", "0"),
+        ("sweep", "detection", "--periods", "100,-5"),
+        ("sweep", "detection", "--runs", "0"),
+        ("overhead", "swaptions", "--periods", "10,0"),
+    ], ids=" ".join)
+    def test_exits_two_with_usage_message(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "integer" in err
+
+
 class TestOverhead:
     def test_sweep(self, capsys):
         code, out = run_cli(
@@ -286,8 +318,8 @@ class TestJitFlags:
         jit, nojit = json.loads(out_jit), json.loads(out_nojit)
         assert jit["races"] == nojit["races"]
         assert jit["stats"] == nojit["stats"]
-        # The interpreter fallback never consults summaries.
-        assert nojit["replay_speed"]["summary_hits"] == 0
+        assert (jit["replay_speed"]["executed_steps"]
+                == nojit["replay_speed"]["executed_steps"])
 
     def test_profile_writes_pstats(self, capsys, racy_source, tmp_path):
         import pstats

@@ -1,10 +1,9 @@
 """Differential tests for the compiled replay path.
 
-The micro-op executor and the block effect-summary cache are pure
-performance work: they must be *invisible* — bit-identical
-``RecoveredAccess`` streams (position, ip, address, kind, provenance,
-taint) against the interpreter on every workload, every replay mode,
-every fault plan, cold or warm cache.  These tests are the contract.
+The micro-op executor is pure performance work: it must be *invisible*
+— bit-identical ``RecoveredAccess`` streams (position, ip, address,
+kind, provenance, taint) against the interpreter on every workload,
+every replay mode and every fault plan.  These tests are the contract.
 """
 
 import pytest
@@ -13,18 +12,15 @@ from hypothesis import strategies as st
 
 from repro.analysis import OfflinePipeline
 from repro.faults import FaultPlan
-from repro.isa import SYSTEM_OPS
-from repro.isa.lowering import lowered
-from repro.replay import BlockSummaryCache, ReplayEngine
+from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import GeneratorConfig, generate_racy_program
 
 CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 
 
-def replay(program, bundle, mode="full", jit=True, cache=None):
-    engine = ReplayEngine(program, mode=mode, jit=jit, summary_cache=cache)
-    return engine.replay_bundle(bundle)
+def replay(program, bundle, mode="full", jit=True):
+    return ReplayEngine(program, mode=mode, jit=jit).replay_bundle(bundle)
 
 
 class TestDifferential:
@@ -36,11 +32,7 @@ class TestDifferential:
             bundle = trace_run(program, period=period, seed=3)
             interp = replay(program, bundle, mode=mode, jit=False)
             jit = replay(program, bundle, mode=mode, jit=True)
-            cache = BlockSummaryCache()
-            replay(program, bundle, mode=mode, cache=cache)
-            warm = replay(program, bundle, mode=mode, cache=cache)
             assert jit.per_thread == interp.per_thread
-            assert warm.per_thread == interp.per_thread
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            period=st.sampled_from([1, 3, 7, 23]))
@@ -73,6 +65,19 @@ class TestDifferential:
         jit = replay(program, degraded, jit=True)
         assert jit.per_thread == interp.per_thread
 
+    def test_decode_segment_boundaries_stay_bit_identical(self,
+                                                         racy_program):
+        """PT gaps split decode into segments; windows never cross them,
+        and the micro-op executor tracks the interpreter across every
+        segment boundary."""
+        program = racy_program
+        bundle = trace_run(program, period=4, seed=7)
+        degraded, defects = FaultPlan(seed=3, pt_gap=0.4).apply(bundle)
+        assert defects.pt_gaps > 0
+        interp = replay(program, degraded, jit=False)
+        jit = replay(program, degraded, jit=True)
+        assert jit.per_thread == interp.per_thread
+
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_pipeline_jit_is_invisible(self, seed):
@@ -87,123 +92,3 @@ class TestDifferential:
         assert jit.racy_addresses == nojit.racy_addresses
         assert jit.regeneration_rounds == nojit.regeneration_rounds
         assert jit.replay.per_thread == nojit.replay.per_thread
-
-
-class TestSummaryCacheEffectiveness:
-    def test_warm_cache_hits_and_stays_identical(self, racy_program):
-        bundle = trace_run(racy_program, period=4, seed=2)
-        cache = BlockSummaryCache()
-        cold = replay(racy_program, bundle, cache=cache)
-        assert cache.window_hits == 0
-        assert cache.window_stores > 0
-        saved_after_cold = cache.steps_saved
-        warm = replay(racy_program, bundle, cache=cache)
-        assert warm.per_thread == cold.per_thread
-        # A repeat replay of the same bundle is served whole windows
-        # from the memo and steps (almost) nothing.
-        assert cache.window_hits > 0
-        assert cache.steps_saved > saved_after_cold
-        assert warm.stats.window_hits > 0
-        assert warm.stats.executed_steps < cold.stats.executed_steps
-
-    def test_span_layer_hits_within_a_cold_run(self):
-        """The span layer pays off inside a single replay: fixed-point
-        re-iterations of a window re-enter spans recorded by earlier
-        passes (window memo keys never repeat intra-run)."""
-        config = GeneratorConfig(threads=2, body_length=24,
-                                 loop_iterations=4)
-        program, _ = generate_racy_program(2, config)
-        bundle = trace_run(program, period=8, seed=2)
-        cache = BlockSummaryCache()
-        cold = replay(program, bundle, cache=cache)
-        assert cache.hits > 0
-        assert cold.stats.summary_hits > 0
-        assert cold.stats.summary_steps > 0
-
-    def test_no_jit_never_touches_summaries(self, racy_program):
-        bundle = trace_run(racy_program, period=4, seed=2)
-        cache = BlockSummaryCache()
-        result = replay(racy_program, bundle, jit=False, cache=cache)
-        assert len(cache) == 0
-        assert cache.window_entries() == 0
-        assert cache.hits == cache.misses == cache.stores == 0
-        assert cache.window_hits == cache.window_stores == 0
-        assert result.stats.summary_hits == 0
-        assert result.stats.summary_steps == 0
-        assert result.stats.window_hits == 0
-
-
-class TestSummaryCacheInvalidation:
-    def test_poison_scopes_are_distinct(self):
-        cache = BlockSummaryCache()
-        clean = cache.scope(frozenset())
-        poisoned = cache.scope(frozenset({0x40}))
-        assert clean is not poisoned
-        assert cache.scope(frozenset()) is clean
-        assert cache.scope(frozenset({0x40})) is poisoned
-
-    def test_invalidate_single_scope(self):
-        cache = BlockSummaryCache()
-        cache.scope(frozenset())["k"] = "clean-entry"
-        cache.scope(frozenset({0x40}))["k"] = "poisoned-entry"
-        assert len(cache) == 2
-        cache.invalidate(frozenset({0x40}))
-        assert len(cache) == 1
-        assert "k" in cache.scope(frozenset())
-
-    def test_invalidate_everything(self):
-        cache = BlockSummaryCache()
-        cache.scope(frozenset())["k"] = "entry"
-        cache.scope(frozenset({0x40}))["k"] = "entry"
-        cache.invalidate()
-        assert len(cache) == 0
-
-    def test_syscalls_and_clobbers_never_summarized(self, racy_program):
-        """System ops invalidate emulated memory; no stored span may
-        contain one (they are excluded at lowering time)."""
-        compiled = lowered(racy_program)
-        sys_ips = [ip for ip in range(len(racy_program))
-                   if racy_program[ip].op in SYSTEM_OPS]
-        assert sys_ips, "fixture must contain synchronization ops"
-        assert not any(compiled.summarizable[ip] for ip in sys_ips)
-
-        cache = BlockSummaryCache()
-        bundle = trace_run(racy_program, period=3, seed=1)
-        replay(racy_program, bundle, cache=cache)
-        replay(racy_program, bundle, cache=cache)
-        assert len(cache) > 0
-        for table in cache._by_poison.values():
-            for (path, _sig) in table:
-                for ip in path:
-                    assert compiled.summarizable[ip]
-
-    def test_span_keys_carry_their_path(self, racy_program):
-        """Summary keys embed the recorded instruction path, so a span
-        may follow control flow across block boundaries without ever
-        being replayed onto a window that took a different path."""
-        compiled = lowered(racy_program)
-        cache = BlockSummaryCache()
-        bundle = trace_run(racy_program, period=4, seed=1)
-        replay(racy_program, bundle, cache=cache)
-        assert len(cache) > 0
-        crossing = 0
-        for table in cache._by_poison.values():
-            for (path, _sig) in table:
-                assert len(path) >= 2
-                if len({compiled.block_id[ip] for ip in path}) > 1:
-                    crossing += 1
-        assert crossing > 0
-
-    def test_decode_segment_boundaries_stay_bit_identical(self, racy_program):
-        """PT gaps split decode into segments; windows (and therefore
-        spans) never cross them, and a warm cache changes nothing."""
-        program = racy_program
-        bundle = trace_run(program, period=4, seed=7)
-        degraded, defects = FaultPlan(seed=3, pt_gap=0.4).apply(bundle)
-        assert defects.pt_gaps > 0
-        interp = replay(program, degraded, jit=False)
-        cache = BlockSummaryCache()
-        cold = replay(program, degraded, cache=cache)
-        warm = replay(program, degraded, cache=cache)
-        assert cold.per_thread == interp.per_thread
-        assert warm.per_thread == interp.per_thread

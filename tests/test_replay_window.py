@@ -1,4 +1,8 @@
-"""Window replay unit tests, including the paper's Figure 5 example."""
+"""Window replay unit tests, including the paper's Figure 5 example.
+
+Every assertion runs on both executors (the instruction interpreter and
+the micro-op loop, see ``tests.helpers.window_replayers``).
+"""
 
 import pytest
 
@@ -7,25 +11,25 @@ from repro.machine import Machine
 from repro.replay import (
     PROV_BACKWARD,
     PROV_FORWARD,
-    WindowReplayer,
 )
 from repro.replay.program_map import Known
 
-from tests.helpers import record_states
+from tests.helpers import record_states, window_replayers
 
 
 def _single_thread_window(source, start, end, seed=0):
-    """Build a WindowReplayer over thread 0's straight-line execution."""
+    """Build one WindowReplayer per executor over thread 0's
+    straight-line execution."""
     program = assemble(source)
     machine, states = record_states(program, seed=seed)
     steps = [ip for ip, _ in states[0]]
     entry = states[0][start][1] if start < len(states[0]) else None
     exit_regs = states[0][end][1] if end < len(states[0]) else None
-    replayer = WindowReplayer(
+    replayers = window_replayers(
         program, steps, start, end, tid=0,
         entry_registers=entry, exit_registers=exit_regs,
     )
-    return program, machine, steps, replayer
+    return program, machine, steps, replayers
 
 
 FIGURE5 = """
@@ -67,49 +71,53 @@ class TestFigure5:
         return _single_thread_window(FIGURE5, start=10, end=20)
 
     def test_forward_recovers_lines_0_1_2_5_8_9(self):
-        program, machine, steps, replayer = self._replay()
-        recovered = {a.ip: a for a in replayer.run()}
-        # Paper: "forward replay can successfully reconstruct ... line 1,
-        # 2, 5, 8, 9" (plus the sampled line 0 itself).
-        for ip in (10, 11, 12, 15, 18, 19):
-            assert ip in recovered, f"instruction {ip} not recovered"
+        program, machine, steps, replayers = self._replay()
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            # Paper: "forward replay can successfully reconstruct ...
+            # line 1, 2, 5, 8, 9" (plus the sampled line 0 itself).
+            for ip in (10, 11, 12, 15, 18, 19):
+                assert ip in recovered, f"instruction {ip} not recovered"
 
     def test_line3_needs_backward_replay(self):
-        program, machine, steps, replayer = self._replay()
-        recovered = {a.ip: a for a in replayer.run()}
-        assert 13 in recovered
-        assert recovered[13].provenance == PROV_BACKWARD
+        program, machine, steps, replayers = self._replay()
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            assert 13 in recovered
+            assert recovered[13].provenance == PROV_BACKWARD
 
     def test_line3_address_is_correct(self):
-        program, machine, steps, replayer = self._replay()
-        recovered = {a.ip: a for a in replayer.run()}
+        program, machine, steps, replayers = self._replay()
         darray = program.symbols["darray"]
-        assert recovered[13].address == darray + 8
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[13].address == darray + 8
 
     def test_forward_only_misses_line3(self):
         program, machine, steps, _ = self._replay()
         _, states = record_states(program)
-        fwd = WindowReplayer(
+        for fwd in window_replayers(
             program, steps, 10, 20, tid=0,
             entry_registers=states[0][10][1], exit_registers=None,
-        )
-        recovered = {a.ip for a in fwd.run()}
-        assert 13 not in recovered
-        assert 18 in recovered
+        ):
+            recovered = {a.ip for a in fwd.run()}
+            assert 13 not in recovered
+            assert 18 in recovered
 
     def test_all_recovered_addresses_match_ground_truth(self):
-        program, machine, steps, replayer = self._replay()
+        program, machine, steps, replayers = self._replay()
         _, states = record_states(program)
         from repro.isa.semantics import effective_address
 
-        for access in replayer.run():
-            ins = program[access.ip]
-            mem = ins.memory_operand()
-            regs = states[0][access.step_index][1]
-            truth = effective_address(mem, regs, access.ip)
-            if ins.op.value == "push":
-                truth = (regs["rsp"] - 8) & ((1 << 64) - 1)
-            assert access.address == truth
+        for replayer in replayers:
+            for access in replayer.run():
+                ins = program[access.ip]
+                mem = ins.memory_operand()
+                regs = states[0][access.step_index][1]
+                truth = effective_address(mem, regs, access.ip)
+                if ins.op.value == "push":
+                    truth = (regs["rsp"] - 8) & ((1 << 64) - 1)
+                assert access.address == truth
 
 
 class TestEdgeWindows:
@@ -131,30 +139,30 @@ main:
         program, machine, steps, _ = _single_thread_window(
             self.SOURCE, 0, 0
         )
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 0, len(steps), tid=0,
             entry_registers=None, exit_registers=None,
-        )
-        recovered = {a.ip for a in replayer.run()}
-        assert 0 in recovered  # mov g(%rip), %rax
-        assert 3 in recovered  # mov %rcx, g(%rip)
-        assert 2 not in recovered  # needs %rbx, loaded from memory
+        ):
+            recovered = {a.ip for a in replayer.run()}
+            assert 0 in recovered  # mov g(%rip), %rax
+            assert 3 in recovered  # mov %rcx, g(%rip)
+            assert 2 not in recovered  # needs %rbx, loaded from memory
 
     def test_head_window_backward_from_first_sample(self):
         program = assemble(self.SOURCE)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
         # First sample at instruction 4; backward covers 0..3.
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 0, 4, tid=0,
             entry_registers=None, exit_registers=states[0][4][1],
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        # arr(,%rbx,8): rbx live until the end → backward recoverable.
-        assert 2 in recovered
-        assert recovered[2].provenance == PROV_BACKWARD
-        arr = program.symbols["arr"]
-        assert recovered[2].address == arr + 16
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            # arr(,%rbx,8): rbx live until the end → backward recoverable.
+            assert 2 in recovered
+            assert recovered[2].provenance == PROV_BACKWARD
+            arr = program.symbols["arr"]
+            assert recovered[2].address == arr + 16
 
 
 class TestReverseExecution:
@@ -173,17 +181,17 @@ main:
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
         # Window 1..4 with no entry context; exit context before halt.
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 1, 4, tid=0,
             entry_registers=None, exit_registers=states[0][4][1],
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        arr = program.symbols["arr"]
-        # Instruction 3 via plain back-propagation of rbx.
-        assert recovered[3].address == arr + 24
-        # Instruction 1 needs reverse execution through `add $2, %rbx`.
-        assert recovered[1].address == arr + 8
-        assert recovered[1].provenance == PROV_BACKWARD
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            arr = program.symbols["arr"]
+            # Instruction 3 via plain back-propagation of rbx.
+            assert recovered[3].address == arr + 24
+            # Instruction 1 needs reverse execution through `add $2, %rbx`.
+            assert recovered[1].address == arr + 8
+            assert recovered[1].provenance == PROV_BACKWARD
 
     def test_unary_inverted(self):
         source = """
@@ -197,12 +205,12 @@ main:
         program = assemble(source)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 1, 3, tid=0,
             entry_registers=None, exit_registers=states[0][3][1],
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        assert recovered[1].address == program.symbols["arr"] + 24
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[1].address == program.symbols["arr"] + 24
 
     def test_mov_copy_back_propagates(self):
         source = """
@@ -217,14 +225,14 @@ main:
         program = assemble(source)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 1, 4, tid=0,
             entry_registers=None, exit_registers=states[0][4][1],
-        )
-        # rbx destroyed at 3, but rdx carries its value back through the
-        # copy at 2.
-        recovered = {a.ip: a for a in replayer.run()}
-        assert recovered[1].address == program.symbols["arr"] + 16
+        ):
+            # rbx destroyed at 3, but rdx carries its value back through the
+            # copy at 2.
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[1].address == program.symbols["arr"] + 16
 
 
 class TestMemoryEmulation:
@@ -242,13 +250,13 @@ main:
         program = assemble(source)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 0, len(steps), tid=0,
             entry_registers=states[0][0][1], exit_registers=None,
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        assert recovered[3].address == program.symbols["arr"] + 8
-        assert recovered[3].taint  # depended on emulated memory
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[3].address == program.symbols["arr"] + 8
+            assert recovered[3].taint  # depended on emulated memory
 
     def test_system_call_invalidates_emulation(self):
         source = """
@@ -267,13 +275,13 @@ main:
         program = assemble(source)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 0, len(steps), tid=0,
             entry_registers=states[0][0][1], exit_registers=None,
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        assert 5 not in recovered
-        assert replayer.stats.memory_invalidations >= 1
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert 5 not in recovered
+            assert replayer.stats.memory_invalidations >= 1
 
     def test_poisoned_location_not_used(self):
         source = """
@@ -290,13 +298,13 @@ main:
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
         cell = program.symbols["cell"]
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 0, len(steps), tid=0,
             entry_registers=states[0][0][1], exit_registers=None,
             poisoned=frozenset({cell}),
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        assert 3 not in recovered  # §5.1: racy emulated location unusable
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert 3 not in recovered  # §5.1: racy emulated location unusable
 
     def test_unknown_address_store_invalidates_all(self):
         source = """
@@ -319,9 +327,9 @@ main:
         # engine models this via a window whose entry lacks r13 — emulate
         # by entering at step 0 with the recorded registers minus r13.
         del entry["r13"]
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             program, steps, 0, len(steps), tid=0,
             entry_registers=entry, exit_registers=None,
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        assert 5 not in recovered
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert 5 not in recovered

@@ -1,20 +1,25 @@
 """Extended window-replay coverage: stack traffic, taint propagation,
-window statistics, cross-window memory carry-over."""
+window statistics, cross-window memory carry-over.
+
+Every assertion runs on both executors (the instruction interpreter and
+the micro-op loop, see ``tests.helpers.window_replayers``).
+"""
 
 import pytest
 
 from repro.isa import assemble
+from repro.isa.lowering import lowered
 from repro.replay import PROV_BACKWARD, PROV_FORWARD, WindowReplayer
 from repro.replay.program_map import Known
 
-from tests.helpers import record_states
+from tests.helpers import record_states, window_replayers
 
 
 def replay_whole(source, entry_step=0, seed=0, entry=True, exit_step=None):
     program = assemble(source)
     machine, states = record_states(program, seed=seed)
     steps = [ip for ip, _ in states[0]]
-    replayer = WindowReplayer(
+    replayers = window_replayers(
         program, steps, entry_step,
         exit_step if exit_step is not None else len(steps), tid=0,
         entry_registers=states[0][entry_step][1] if entry else None,
@@ -22,7 +27,7 @@ def replay_whole(source, entry_step=0, seed=0, entry=True, exit_step=None):
             states[0][exit_step][1] if exit_step is not None else None
         ),
     )
-    return program, steps, replayer
+    return program, steps, replayers
 
 
 class TestStackTraffic:
@@ -38,30 +43,32 @@ main:
 """
 
     def test_push_pop_addresses_recovered(self):
-        program, steps, replayer = replay_whole(self.SOURCE)
-        recovered = {a.ip: a for a in replayer.run()}
-        assert recovered[1].is_store  # push
-        assert not recovered[3].is_store  # pop
-        assert recovered[1].address == recovered[3].address
+        program, steps, replayers = replay_whole(self.SOURCE)
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[1].is_store  # push
+            assert not recovered[3].is_store  # pop
+            assert recovered[1].address == recovered[3].address
 
     def test_pop_value_flows_through_emulated_stack(self):
         """push then pop through emulated memory: the store at ip 4 uses
         the value restored via the stack slot."""
-        program, steps, replayer = replay_whole(self.SOURCE)
-        recovered = {a.ip: a for a in replayer.run()}
-        assert 4 in recovered  # final store address known via rip
+        program, steps, replayers = replay_whole(self.SOURCE)
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            assert 4 in recovered  # final store address known via rip
 
     def test_rsp_recovered_backward(self):
         """With no entry context, backward propagation restores rsp and
         with it the stack-slot addresses."""
         program, steps, _ = replay_whole(self.SOURCE)
         machine, states = record_states(assemble(self.SOURCE))
-        replayer = WindowReplayer(
+        for replayer in window_replayers(
             assemble(self.SOURCE), steps, 0, 4, tid=0,
             entry_registers=None, exit_registers=states[0][4][1],
-        )
-        recovered = {a.ip: a for a in replayer.run()}
-        assert 1 in recovered and recovered[1].provenance == PROV_BACKWARD
+        ):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert 1 in recovered and recovered[1].provenance == PROV_BACKWARD
 
 
 class TestCallRetAcrossWindow:
@@ -78,12 +85,13 @@ f:
 """
 
     def test_rsp_tracked_through_call_ret(self):
-        program, steps, replayer = replay_whole(self.SOURCE)
-        recovered = {a.step_index for a in replayer.run()}
-        # Both array loads (inside f and after the ret) recovered.
-        ips = {replayer.steps[j] for j in recovered}
-        assert program.resolve("f") in ips
-        assert 2 in ips
+        program, steps, replayers = replay_whole(self.SOURCE)
+        for replayer in replayers:
+            recovered = {a.step_index for a in replayer.run()}
+            # Both array loads (inside f and after the ret) recovered.
+            ips = {replayer.steps[j] for j in recovered}
+            assert program.resolve("f") in ips
+            assert 2 in ips
 
 
 class TestTaint:
@@ -99,10 +107,11 @@ main:
     mov arr(,%rbx,8), %rcx   # access address tainted
     halt
 """
-        program, steps, replayer = replay_whole(source)
-        recovered = {a.ip: a for a in replayer.run()}
-        access = recovered[4]
-        assert access.taint and program.symbols["cell"] in access.taint
+        program, steps, replayers = replay_whole(source)
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            access = recovered[4]
+            assert access.taint and program.symbols["cell"] in access.taint
 
     def test_clean_addresses_have_no_taint(self):
         source = """
@@ -112,9 +121,10 @@ main:
     mov arr(,%rbx,8), %rcx
     halt
 """
-        program, steps, replayer = replay_whole(source)
-        recovered = {a.ip: a for a in replayer.run()}
-        assert recovered[1].taint is None
+        program, steps, replayers = replay_whole(source)
+        for replayer in replayers:
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[1].taint is None
 
 
 class TestCrossWindowMemory:
@@ -135,18 +145,20 @@ main:
         program = assemble(source)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
-        first = WindowReplayer(
-            program, steps, 0, 3, tid=0,
-            entry_registers=states[0][0][1], exit_registers=states[0][3][1],
-        )
-        first.run()
-        second = WindowReplayer(
-            program, steps, 3, len(steps), tid=0,
-            entry_registers=states[0][3][1], exit_registers=None,
-            entry_memory=first.exit_memory,
-        )
-        recovered = {a.ip: a for a in second.run()}
-        assert recovered[4].address == program.symbols["arr"] + 8
+        for compiled in (None, lowered(program)):
+            first = WindowReplayer(
+                program, steps, 0, 3, tid=0,
+                entry_registers=states[0][0][1],
+                exit_registers=states[0][3][1], compiled=compiled,
+            )
+            first.run()
+            second = WindowReplayer(
+                program, steps, 3, len(steps), tid=0,
+                entry_registers=states[0][3][1], exit_registers=None,
+                entry_memory=first.exit_memory, compiled=compiled,
+            )
+            recovered = {a.ip: a for a in second.run()}
+            assert recovered[4].address == program.symbols["arr"] + 8
 
 
 class TestWindowStats:
@@ -159,12 +171,14 @@ main:
     mov g(%rip), %rdx
     halt
 """
-        program, steps, replayer = replay_whole(source, entry=False)
-        replayer.run()
-        stats = replayer.stats
-        assert stats.steps == len(steps)
-        assert stats.missed >= 1  # (%rbx) with rbx from memory
-        assert stats.iterations >= 1
+        program, steps, replayers = replay_whole(source, entry=False)
+        for replayer in replayers:
+            replayer.run()
+            stats = replayer.stats
+            assert stats.steps == len(steps)
+            assert stats.steps_executed == len(steps)
+            assert stats.missed >= 1  # (%rbx) with rbx from memory
+            assert stats.iterations >= 1
 
     def test_invalidation_counted(self):
         source = """
@@ -177,6 +191,7 @@ main:
     unlock $lockvar
     halt
 """
-        program, steps, replayer = replay_whole(source)
-        replayer.run()
-        assert replayer.stats.memory_invalidations >= 2
+        program, steps, replayers = replay_whole(source)
+        for replayer in replayers:
+            replayer.run()
+            assert replayer.stats.memory_invalidations >= 2

@@ -30,6 +30,13 @@ class TestCatalog:
     def test_no_name_collisions(self):
         assert len(ALL_WORKLOADS) == 21
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_scale_rejects_non_positive_iterations(self, iterations):
+        # Workload loops count down to zero; a trip count below 1 would
+        # wrap the counter and never terminate.
+        with pytest.raises(ValueError, match="iterations"):
+            WorkloadScale(iterations=iterations)
+
 
 @pytest.mark.parametrize("name", sorted(PARSEC_WORKLOADS))
 class TestParsecKernels:
