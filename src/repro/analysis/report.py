@@ -400,6 +400,8 @@ def to_json(program: Program, result: DetectionResult) -> str:
             },
             "replay_speed": {
                 "windows": stats.windows,
+                "iterations": stats.iterations,
+                "capped_windows": stats.capped_windows,
                 "executed_steps": stats.executed_steps,
                 "steps_per_second": (
                     stats.executed_steps

@@ -81,6 +81,9 @@ class ReplayStats:
     windows_aborted: int = 0
     #: Steps stepped across all forward passes (the replay work).
     executed_steps: int = 0
+    #: Windows whose fixed point stopped at the iteration cap with
+    #: backward facts still unapplied (a non-converging fixed point).
+    capped_windows: int = 0
     #: Always 0; kept only because the e2e benchmark corpus reads them.
     summary_steps: int = 0
     window_hits: int = 0
@@ -95,6 +98,7 @@ class ReplayStats:
         self.iterations += other.iterations
         self.windows_aborted += other.windows_aborted
         self.executed_steps += other.executed_steps
+        self.capped_windows += other.capped_windows
 
     @property
     def recovered(self) -> int:
@@ -299,6 +303,7 @@ class ReplayEngine:
         stats.windows += 1
         stats.iterations += replayer.stats.iterations
         stats.executed_steps += replayer.stats.steps_executed
+        stats.capped_windows += replayer.stats.capped
 
     def _replay_windows(
         self,

@@ -13,9 +13,9 @@ thread (Figure 4).  The replayer alternates:
   invertible INC/DEC/NEG/NOT, LEA, and stack-pointer adjustments) to push
   knowledge further back.  Accesses the forward pass missed are recovered
   where the backward state covers their address registers.
-* The two passes iterate — backward facts seed the next forward pass —
-  "until they reach the fixed point where no further restoration is
-  found" (§5.2.2).
+* The two passes iterate — backward facts accumulate and seed the next
+  forward pass — "until they reach the fixed point where no further
+  restoration is found" (§5.2.2).
 
 Windows at the trace edges degenerate gracefully: before the first sample
 only the backward pass runs; after the last sample only the forward pass.
@@ -120,6 +120,9 @@ class WindowStats:
     #: Steps stepped by forward passes (interpreter or micro-op), summed
     #: over the fixed-point iterations.
     steps_executed: int = 0
+    #: The fixed point stopped at ``max_iterations`` with backward facts
+    #: no forward pass has applied yet.
+    capped: bool = False
 
 
 class WindowReplayer:
@@ -183,9 +186,19 @@ class WindowReplayer:
 
     def run(self) -> List[RecoveredAccess]:
         """Run the §5.2.2 forward/backward fixed point; returns accesses
-        sorted by step."""
+        sorted by step.
+
+        Backward facts accumulate across iterations.  The backward
+        state at a step comes from the exit sample and the path alone,
+        never from the blocked set, so a fact (or retried access)
+        derived for a step is the same in every iteration: each blocked
+        step needs one backward visit.  The loop stops when a forward
+        pass blocks at no step the backward pass has not yet visited, or
+        when the backward pass finds no new fact.
+        """
         recovered: Dict[int, RecoveredAccess] = {}
         facts: Dict[int, Dict[str, Known]] = {}
+        visited: FrozenSet[int] = frozenset()
         if self._compiled is not None:
             forward = self._forward_pass_fast
             backward = self._backward_pass_fast
@@ -201,14 +214,20 @@ class WindowReplayer:
                 recovered.setdefault(access.step_index, access)
             if self.exit_registers is None:
                 break  # tail window: nothing to propagate backward
-            bwd_accesses, new_facts = backward(blocked)
+            fresh = blocked - visited
+            if not fresh:
+                break  # every blocked step was already visited backward
+            bwd_accesses, new_facts = backward(fresh)
             for access in bwd_accesses:
                 recovered.setdefault(access.step_index, access)
-            if new_facts == facts:
+            if not new_facts:
                 # Re-running the forward pass without new backward facts
                 # cannot restore anything further: fixed point (§5.2.2).
                 break
-            facts = new_facts
+            visited |= fresh
+            facts = {**facts, **new_facts}
+        else:
+            self.stats.capped = True
 
         self.stats.recovered_forward = sum(
             1 for a in recovered.values() if a.provenance == PROV_FORWARD

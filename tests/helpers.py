@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.analysis import OfflinePipeline
 from repro.detector.events import SyncOp
 from repro.detector.registry import create_backend
@@ -209,3 +211,14 @@ def assert_batched_matches_scalar(program, bundle, **pipeline_kwargs):
     for reference in scalar:
         assert result.findings[reference.name] == reference.finish()
     return result
+
+
+def access_digest(accesses):
+    """SHA-256 over every field of a ``RecoveredAccess`` stream, taint
+    included (as a sorted tuple), in stream order."""
+    digest = hashlib.sha256()
+    for a in accesses:
+        taint = None if a.taint is None else tuple(sorted(a.taint))
+        digest.update(repr((a.tid, a.step_index, a.ip, a.address,
+                            a.is_store, a.provenance, taint)).encode())
+    return digest.hexdigest()

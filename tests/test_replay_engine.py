@@ -119,6 +119,17 @@ quiet:
         assert any(a.ip == quiet_ip for a in child_accesses)
 
 
+class TestFixedPointStats:
+    def test_cap_of_one_counts_capped_windows(self, racy_program):
+        """With one iteration, every window whose backward pass found a
+        fact stops with that fact unapplied: it is capped."""
+        bundle = trace_run(racy_program, period=4, seed=1)
+        stats = ReplayEngine(racy_program, max_iterations=1) \
+            .replay_bundle(bundle).stats
+        assert stats.capped_windows >= 1
+        assert stats.iterations == stats.windows
+
+
 class TestInvalidMode:
     def test_rejected(self, racy_program):
         with pytest.raises(ValueError):

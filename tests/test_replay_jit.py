@@ -18,6 +18,15 @@ from repro.workloads import GeneratorConfig, generate_racy_program
 
 CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 
+FAULT_PLANS = st.builds(
+    FaultPlan,
+    seed=st.integers(min_value=0, max_value=1_000),
+    sample_drop=st.floats(0.0, 1.0),
+    pt_gap=st.floats(0.0, 1.0),
+    log_truncation=st.floats(0.0, 1.0),
+    tsc_jitter=st.floats(0.0, 1.0),
+)
+
 
 def replay(program, bundle, mode="full", jit=True):
     return ReplayEngine(program, mode=mode, jit=jit).replay_bundle(bundle)
@@ -45,14 +54,7 @@ class TestDifferential:
         assert jit.per_thread == interp.per_thread
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
-           plan=st.builds(
-               FaultPlan,
-               seed=st.integers(min_value=0, max_value=1_000),
-               sample_drop=st.floats(0.0, 1.0),
-               pt_gap=st.floats(0.0, 1.0),
-               log_truncation=st.floats(0.0, 1.0),
-               tsc_jitter=st.floats(0.0, 1.0),
-           ))
+           plan=FAULT_PLANS)
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_faulted_bundles_bit_identical(self, seed, plan):
         """Degraded traces (gaps, dropped samples, torn logs) exercise
@@ -92,3 +94,20 @@ class TestDifferential:
         assert jit.racy_addresses == nojit.racy_addresses
         assert jit.regeneration_rounds == nojit.regeneration_rounds
         assert jit.replay.per_thread == nojit.replay.per_thread
+
+
+class TestFixedPointCap:
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           period=st.sampled_from([1, 3, 7, 23]),
+           plan=st.none() | FAULT_PLANS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_cap_four_matches_cap_eight(self, seed, period, plan):
+        """The fixed point converges well inside the default cap: more
+        iterations recover nothing more, on clean and degraded traces."""
+        program, _ = generate_racy_program(seed, CONFIG)
+        bundle = trace_run(program, period=period, seed=seed)
+        if plan is not None:
+            bundle, _ = plan.apply(bundle)
+        four = ReplayEngine(program, max_iterations=4).replay_bundle(bundle)
+        eight = ReplayEngine(program, max_iterations=8).replay_bundle(bundle)
+        assert four.per_thread == eight.per_thread

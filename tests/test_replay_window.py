@@ -17,9 +17,9 @@ from repro.replay.program_map import Known
 from tests.helpers import record_states, window_replayers
 
 
-def _single_thread_window(source, start, end, seed=0):
+def _single_thread_window(source, start, end, seed=0, **kwargs):
     """Build one WindowReplayer per executor over thread 0's
-    straight-line execution."""
+    straight-line execution; *kwargs* go to the replayers."""
     program = assemble(source)
     machine, states = record_states(program, seed=seed)
     steps = [ip for ip, _ in states[0]]
@@ -27,7 +27,7 @@ def _single_thread_window(source, start, end, seed=0):
     exit_regs = states[0][end][1] if end < len(states[0]) else None
     replayers = window_replayers(
         program, steps, start, end, tid=0,
-        entry_registers=entry, exit_registers=exit_regs,
+        entry_registers=entry, exit_registers=exit_regs, **kwargs,
     )
     return program, machine, steps, replayers
 
@@ -333,3 +333,69 @@ main:
         ):
             recovered = {a.ip: a for a in replayer.run()}
             assert 5 not in recovered
+
+
+class TestFixedPoint:
+    """§5.2.2's loop: backward facts accumulate, so a fact that unblocks
+    its own step stays applied and the loop converges instead of
+    cycling to ``max_iterations``."""
+
+    # Window 2..6: step 3 loads an unavailable pointer into rsi, so the
+    # forward pass blocks at step 4; the backward pass carries the exit
+    # sample's rsi back to step 4, and that fact unblocks step 4.
+    SELF_UNBLOCKING = """
+.array ptrs 0 0
+.array data 5 6 7
+main:
+    mov $data, %rax
+    mov %rax, ptrs(%rip)
+    mov $ptrs, %r15           # 2: entry sample
+    mov (%r15), %rsi          # 3: rsi <- unemulated memory
+    mov 8(%rsi), %rdx         # 4: blocked until the backward fact
+    mov $1, %rcx              # 5
+    halt                      # 6: next sample
+"""
+
+    def _replayers(self, start, end, cap):
+        return _single_thread_window(self.SELF_UNBLOCKING, start, end,
+                                     max_iterations=cap)[3]
+
+    def test_self_unblocking_fact_converges_in_two_iterations(self):
+        program = assemble(self.SELF_UNBLOCKING)
+        for replayer in self._replayers(2, 6, 4):
+            recovered = {a.ip: a for a in replayer.run()}
+            assert recovered[4].address == program.symbols["data"] + 8
+            assert recovered[4].provenance == PROV_BACKWARD
+            assert replayer.stats.iterations == 2
+            assert not replayer.stats.capped
+
+    def test_cap_does_not_change_recovered_accesses(self):
+        for executor in (0, 1):
+            streams = [self._replayers(2, 6, cap)[executor].run()
+                       for cap in (2, 4, 8)]
+            assert streams[0] == streams[1] == streams[2]
+
+    def test_cap_of_one_with_pending_facts_is_capped(self):
+        for replayer in self._replayers(2, 6, 1):
+            replayer.run()
+            assert replayer.stats.iterations == 1
+            assert replayer.stats.capped
+
+    def test_unblocked_window_never_runs_backward(self):
+        """A first forward pass that blocks nowhere leaves the backward
+        pass nothing to do: it is never called."""
+        for replayer in self._replayers(0, 3, 4):
+            calls = []
+
+            def spy(blocked, calls=calls):
+                calls.append(blocked)
+                return [], {}
+
+            replayer._backward_pass = spy
+            replayer._backward_pass_fast = spy
+            recovered = {a.ip for a in replayer.run()}
+            assert recovered == {1}
+            assert calls == []
+            assert replayer.stats.iterations == 1
+            assert not replayer.stats.capped
+
