@@ -1,14 +1,18 @@
-"""Replay-compilation speed: interpreter vs micro-op IR.
+"""Replay speed: micro-op steps/sec and FastTrack events/sec.
 
-The compiled replay path (``docs/performance.md``) promises two things,
-each measured here and written to ``benchmarks/results/BENCH_replay.json``:
+Measures the replay executor (``docs/performance.md``) and the detector
+fast paths, writing ``benchmarks/results/BENCH_replay.json``:
 
-* the micro-op executor beats the instruction interpreter by ≥2x on the
-  forward-replay hot loop (reconstruction phase, decode excluded), and
-* the FastTrack fast paths sustain a healthy events/sec rate.
+* micro-op replay steps/sec on the forward-replay hot loop
+  (reconstruction phase, decode excluded) and on end-to-end
+  ``replay_bundle`` (decode + full fixed point), and
+* the FastTrack fast paths' events/sec rate.
 
-Assertions are shape-level with slack for CI-runner noise; the JSON keeps
-the exact measured numbers for the docs.
+Replay has one executor, so its numbers are absolute rates to track
+across changes, not a ratio gated here; the end-to-end replay guard is
+``verdict_s`` of ``e2ebench/run.py`` on ``mysql-dense``.  The FastTrack
+assertions are shape-level with slack for CI-runner noise; the JSON
+keeps the exact measured numbers for the docs.
 """
 
 import json
@@ -43,46 +47,22 @@ def _best(fn, repeats=REPEATS):
 
 def _forward_hot_loop(program, bundle):
     """Reconstruction-phase seconds (decode excluded), forward mode —
-    the micro-op executor's hot loop, interpreter vs compiled."""
-
-    def recon(jit):
-        return OfflinePipeline(program, mode="forward",
-                               jit=jit).analyze(bundle)
-
-    runs_interp = [recon(False) for _ in range(REPEATS)]
-    runs_jit = [recon(True) for _ in range(REPEATS)]
-    s_interp = min(r.timings.reconstruction_seconds for r in runs_interp)
-    s_jit = min(r.timings.reconstruction_seconds for r in runs_jit)
-    steps = runs_interp[0].replay.stats.executed_steps
-    return {
-        "total_steps": steps,
-        "interpreter": {
-            "seconds": s_interp,
-            "steps_per_sec": steps / s_interp,
-        },
-        "microop": {
-            "seconds": s_jit,
-            "steps_per_sec": steps / s_jit,
-            "speedup_vs_interpreter": s_interp / s_jit,
-        },
-    }
+    the micro-op executor's hot loop."""
+    runs = [OfflinePipeline(program, mode="forward").analyze(bundle)
+            for _ in range(REPEATS)]
+    seconds = min(r.timings.reconstruction_seconds for r in runs)
+    steps = runs[0].replay.stats.executed_steps
+    return {"total_steps": steps, "seconds": seconds,
+            "steps_per_sec": steps / seconds}
 
 
 def _bundle_replay(program, bundle):
     """End-to-end ``replay_bundle`` (decode + full fixed-point replay)."""
-    t_interp, r = _best(
-        lambda: ReplayEngine(program, jit=False).replay_bundle(bundle))
-    t_jit, _ = _best(
-        lambda: ReplayEngine(program, jit=True).replay_bundle(bundle))
-    steps = r.stats.executed_steps
-    return {
-        "total_steps": steps,
-        "interpreter": {"seconds": t_interp,
-                        "steps_per_sec": steps / t_interp},
-        "microop": {"seconds": t_jit,
-                    "steps_per_sec": steps / t_jit,
-                    "speedup_vs_interpreter": t_interp / t_jit},
-    }
+    seconds, result = _best(
+        lambda: ReplayEngine(program).replay_bundle(bundle))
+    steps = result.stats.executed_steps
+    return {"total_steps": steps, "seconds": seconds,
+            "steps_per_sec": steps / seconds}
 
 
 def _fasttrack_events():
@@ -135,14 +115,15 @@ def test_replay_speed(benchmark, profile, results_dir):
     (results_dir / "BENCH_replay.json").write_text(
         json.dumps(results, indent=2) + "\n")
 
-    header = f"{'Workload':14s}{'hot-loop x':>11s}{'bundle x':>10s}"
+    header = (f"{'Workload':14s}{'hot-loop steps/s':>18s}"
+              f"{'bundle steps/s':>16s}")
     lines = [f"(period {PERIOD}, min of {REPEATS})",
              header, "-" * len(header)]
     for name, row in results["workloads"].items():
         lines.append(
             f"{name:14s}"
-            f"{row['forward_hot_loop']['microop']['speedup_vs_interpreter']:11.2f}"
-            f"{row['bundle_replay']['microop']['speedup_vs_interpreter']:10.2f}"
+            f"{row['forward_hot_loop']['steps_per_sec']:18,.0f}"
+            f"{row['bundle_replay']['steps_per_sec']:16,.0f}"
         )
     ft = results["fasttrack"]
     lines.append("")
@@ -150,11 +131,8 @@ def test_replay_speed(benchmark, profile, results_dir):
                  f"({ft['events']} events)")
     write_table(results_dir, "BENCH_replay", lines)
 
-    hot = [row["forward_hot_loop"]["microop"]["speedup_vs_interpreter"]
-           for row in results["workloads"].values()]
-    # ~2.1-2.3x measured; 1.5 leaves room for noisy CI runners.
-    assert min(hot) > 1.5
     for row in results["workloads"].values():
-        assert row["bundle_replay"]["microop"]["speedup_vs_interpreter"] > 1.2
+        assert row["forward_hot_loop"]["total_steps"] > 0
+        assert row["bundle_replay"]["total_steps"] > 0
     assert ft["events_per_sec"] > 100_000
     assert ft["races_found"] > 0

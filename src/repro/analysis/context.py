@@ -134,9 +134,6 @@ class AnalysisContext:
         round_cache: when False, every :meth:`replay` call recomputes all
             threads from scratch (the reference behaviour the incremental
             path is property-tested against).
-        jit: replay windows through the pre-lowered micro-op executor;
-            False falls back to the instruction interpreter, its
-            bit-identical test reference.
         clock: a reconciled :class:`~repro.clock.model.ClockModel` for
             *bundle* (whose timestamps must already be corrected, see
             :func:`~repro.clock.repair.apply_clock_correction`).  Event
@@ -158,7 +155,6 @@ class AnalysisContext:
         executor: str = "thread",
         max_iterations: int = 4,
         round_cache: bool = True,
-        jit: bool = True,
         supervisor=None,
         clock=None,
     ) -> None:
@@ -170,7 +166,6 @@ class AnalysisContext:
         self.executor = executor
         self.max_iterations = max_iterations
         self.round_cache = round_cache
-        self.jit = jit
         #: Optional :class:`~repro.supervise.SupervisorConfig` for the
         #: replay fan-outs; :attr:`run_ledger` then accumulates one
         #: merged ledger across all regeneration rounds.
@@ -521,7 +516,6 @@ class AnalysisContext:
             self.program, mode=self.replay_mode,
             max_iterations=self.max_iterations, poisoned=poisoned,
             jobs=self.jobs, executor=self.executor,
-            jit=self.jit,
             supervisor=self.supervisor,
         )
         changed = False
@@ -777,7 +771,7 @@ class AnalysisContext:
         """Identity of the (bundle, analysis parameters) pair a snapshot
         belongs to.  Deliberately *excludes* the round-invariant caches —
         those are recomputed deterministically on restore — and the
-        execution knobs (jobs/executor/jit), which never change results."""
+        execution knobs (jobs/executor), which never change results."""
         return "|".join(str(part) for part in (
             self.program.name, self.mode, self.max_iterations,
             len(self.bundle.samples), len(self.bundle.sync_records),

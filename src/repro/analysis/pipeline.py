@@ -240,10 +240,6 @@ class OfflinePipeline:
         round_cache: when False, regeneration rounds recompute every
             thread from scratch (the reference behaviour the incremental
             context is property-tested against).
-        jit: replay through the pre-lowered micro-op executor; False
-            (the ``--no-jit`` escape hatch) uses the instruction
-            interpreter, its test reference.  Results are bit-identical
-            either way.
         detectors: registry names of the detector backends to run over
             the merged event stream — all of them side-by-side in one
             decode/replay pass.  The first name is the *primary*
@@ -272,7 +268,6 @@ class OfflinePipeline:
         jobs: int = 1,
         executor: str = "thread",
         round_cache: bool = True,
-        jit: bool = True,
         supervisor=None,
         detectors: Sequence[str] = (DEFAULT_DETECTOR,),
         reconcile_clock: bool = False,
@@ -283,7 +278,6 @@ class OfflinePipeline:
         self.jobs = max(1, jobs)
         self.executor = executor
         self.round_cache = round_cache
-        self.jit = jit
         #: Optional :class:`~repro.supervise.SupervisorConfig`: replay
         #: fan-outs then run under the supervised runtime and every
         #: :class:`DetectionResult` carries a merged ``ledger``.
@@ -310,7 +304,7 @@ class OfflinePipeline:
         context = AnalysisContext(
             self.program, bundle, mode=self.mode, jobs=self.jobs,
             executor=self.executor, round_cache=self.round_cache,
-            jit=self.jit, supervisor=self.supervisor, clock=clock_model,
+            supervisor=self.supervisor, clock=clock_model,
         )
         # Estimation/correction cost is reconstruction work (Figure 12).
         context.reconstruction_seconds += reconcile_seconds

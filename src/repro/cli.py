@@ -29,6 +29,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, Optional
 
@@ -132,7 +133,7 @@ def _add_confirm_args(parser: argparse.ArgumentParser) -> None:
     ``repro detect --confirm`` (docs/robustness.md, "Race
     confirmation")."""
     parser.add_argument(
-        "--confirm-retries", type=int, default=5, metavar="N",
+        "--confirm-retries", type=_non_negative_int, default=5, metavar="N",
         help="total replays a race may consume before it is declared "
              "unconfirmed: attempt 1 drives the exact witness "
              "schedule, attempts 2-3 deterministic pair targeting, "
@@ -168,17 +169,19 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     """The supervised-runtime knobs shared by the long-running commands
     (see docs/robustness.md, "Supervised runtime")."""
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_non_negative_int, default=None, metavar="N",
         help="per-item retry budget under the supervised runtime "
              "(enables supervision; an item runs at most N+1 times)",
     )
     parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="per-item wall-clock limit; a worker exceeding it is "
              "killed and the item retried (enables supervision)",
     )
     parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_non_negative_float, default=None,
+        metavar="SECONDS",
         help="whole-command wall-clock budget; exceeding it exits "
              "with code 3 (enables supervision)",
     )
@@ -356,6 +359,49 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for retry budgets: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """A finite number of seconds (anything else is a usage error)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for per-item time limits: seconds above 0."""
+    value = _seconds(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for the whole-command deadline: seconds of at least
+    0 (0 is a deadline already past)."""
+    value = _seconds(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of seconds, got {text}")
+    return value
+
+
 def _positive_int_list(text: str) -> list:
     """argparse type for a comma-separated list of positive integers."""
     return [_positive_int(item) for item in text.split(",")]
@@ -368,7 +414,7 @@ def _add_program_args(parser: argparse.ArgumentParser) -> None:
                                          "instead of a catalogued name")
     parser.add_argument("--iterations", type=_positive_int, default=40,
                         help="workload scale (default 40)")
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=_positive_int, default=4)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -437,7 +483,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
-                               jit=not args.no_jit,
                                supervisor=_supervisor_from(args),
                                detectors=_detectors_from(args),
                                reconcile_clock=args.reconcile_clock)
@@ -1218,17 +1263,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=("full", "forward", "basicblock",
                                          "sampled"))
     analyze_parser.add_argument("--json", action="store_true")
-    analyze_parser.add_argument("--jobs", type=int, default=1,
+    analyze_parser.add_argument("--jobs", type=_positive_int, default=1,
                                 help="workers for per-thread decode/replay")
     analyze_parser.add_argument(
         "--allow-partial", action="store_true",
         help="salvage intact sections of a corrupted v2 trace file "
              "instead of failing on the checksum",
-    )
-    analyze_parser.add_argument(
-        "--no-jit", action="store_true",
-        help="replay with the instruction interpreter instead of the "
-             "pre-lowered micro-op executor (bit-identical, slower)",
     )
     analyze_parser.add_argument(
         "--profile", metavar="PATH",
@@ -1249,7 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "sampled"))
     detect_parser.add_argument("--runs", type=_positive_int, default=1,
                                help="seeded runs to aggregate")
-    detect_parser.add_argument("--jobs", type=int, default=1,
+    detect_parser.add_argument("--jobs", type=_positive_int, default=1,
                                help="workers: across runs when --runs > 1; "
                                     "otherwise per-thread decode/replay "
                                     "fan-out")
@@ -1285,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
     confirm_parser.add_argument("--mode", default="full",
                                 choices=("full", "forward", "basicblock",
                                          "sampled"))
-    confirm_parser.add_argument("--jobs", type=int, default=1,
+    confirm_parser.add_argument("--jobs", type=_positive_int, default=1,
                                 help="replay worker slots (verdicts are "
                                      "bit-identical at any value)")
     confirm_parser.add_argument("--json", action="store_true")
@@ -1319,11 +1359,11 @@ def build_parser() -> argparse.ArgumentParser:
                                        "sampled"))
     sweep_parser.add_argument("--driver", choices=sorted(_DRIVERS),
                               default="prorace")
-    sweep_parser.add_argument("--jobs", type=int, default=1,
+    sweep_parser.add_argument("--jobs", type=_positive_int, default=1,
                               help="workers for detection-sweep trials")
     sweep_parser.add_argument("--iterations", type=_positive_int,
                               default=40)
-    sweep_parser.add_argument("--threads", type=int, default=4)
+    sweep_parser.add_argument("--threads", type=_positive_int, default=4)
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--json", action="store_true",
                               help="print the detection sweep as JSON")
@@ -1353,11 +1393,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated baseline list (default: "
              "racez,literace,datacollider,pacer; empty string = none)",
     )
-    shootout_parser.add_argument("--jobs", type=int, default=1,
+    shootout_parser.add_argument("--jobs", type=_positive_int, default=1,
                                  help="workers for the trial grid")
     shootout_parser.add_argument("--iterations", type=_positive_int,
                                  default=40)
-    shootout_parser.add_argument("--threads", type=int, default=4)
+    shootout_parser.add_argument("--threads", type=_positive_int, default=4)
     shootout_parser.add_argument("--seed", type=int, default=0)
     shootout_parser.add_argument("--json", action="store_true",
                                  help="print the full result as JSON")
@@ -1413,7 +1453,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="adversarial time: per-record non-monotonic TSC "
              "regression intensity",
     )
-    chaos_parser.add_argument("--jobs", type=int, default=1,
+    chaos_parser.add_argument("--jobs", type=_positive_int, default=1,
                               help="worker slots for runtime chaos")
     chaos_parser.add_argument("--json", action="store_true",
                               help="print the runtime-chaos sweep as JSON")
@@ -1435,7 +1475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_parser.add_argument("--iterations", type=_positive_int,
                               default=12)
-    fleet_parser.add_argument("--threads", type=int, default=4)
+    fleet_parser.add_argument("--threads", type=_positive_int, default=4)
     fleet_parser.add_argument("--seed", type=int, default=0)
     fleet_parser.add_argument(
         "--policy", choices=("rotate", "uniform"), default="rotate",
@@ -1506,7 +1546,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress a race signature key (repeatable); suppressed "
              "races stay counted but leave the ranking",
     )
-    fleet_parser.add_argument("--jobs", type=int, default=1,
+    fleet_parser.add_argument("--jobs", type=_positive_int, default=1,
                               help="analysis worker slots")
     fleet_parser.add_argument(
         "--confirm", action="store_true",
@@ -1514,7 +1554,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the analysis workers; ranked races carry verdict tiers",
     )
     fleet_parser.add_argument(
-        "--confirm-retries", type=int, default=5, metavar="N",
+        "--confirm-retries", type=_non_negative_int, default=5, metavar="N",
         help="replays per race before it is declared unconfirmed "
              "(with --confirm; default 5)",
     )

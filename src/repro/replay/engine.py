@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..isa.lowering import lowered
 from ..isa.program import Program
 from ..parallel import parallel_map
 from ..ptdecode.decoder import AlignedSample, DecodedPath, align_samples, decode_all
@@ -163,7 +162,6 @@ class ReplayEngine:
         poisoned: Optional[FrozenSet[int]] = None,
         jobs: int = 1,
         executor: str = "thread",
-        jit: bool = True,
         supervisor=None,
     ) -> None:
         if mode not in _MODES:
@@ -176,13 +174,6 @@ class ReplayEngine:
         #: replays are independent (§7.6).
         self.jobs = max(1, jobs)
         self.executor = executor
-        #: Replay windows through the pre-lowered micro-op executor
-        #: (False: the instruction interpreter, its bit-identical test
-        #: reference).  The compiled form itself is never stored here:
-        #: engines are pickled into process-executor workers and the bound
-        #: ALU callables don't pickle, so workers re-derive it via
-        #: ``lowered()`` (a per-process memoized lookup).
-        self.jit = jit
         #: Optional :class:`~repro.supervise.SupervisorConfig`: the
         #: per-thread fan-out then runs under the supervised runtime
         #: (retries, timeouts, crash isolation) instead of the plain
@@ -354,7 +345,6 @@ class ReplayEngine:
         contexts = [a.sample.registers for a in aligned]
         memory: Dict[int, Known] = {}
         backward = self.mode == "full"
-        compiled = lowered(self.program) if self.jit else None
 
         # Head window: segment start up to the first sample — backward-
         # replay territory (plus PC-relative forward recovery).
@@ -365,7 +355,6 @@ class ReplayEngine:
                 exit_registers=contexts[0] if backward else None,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                compiled=compiled,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -377,7 +366,6 @@ class ReplayEngine:
                 self.program, path.steps, seg_lo, seg_hi, path.tid,
                 entry_registers=None, exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                compiled=compiled,
             )
             accesses = replayer.run()
             self._fold_window(stats, replayer)
@@ -400,7 +388,6 @@ class ReplayEngine:
                 entry_memory=memory,
                 poisoned=self.poisoned,
                 max_iterations=self.max_iterations if backward else 1,
-                compiled=compiled,
             )
             accesses.extend(replayer.run())
             touched |= replayer.touched
@@ -419,7 +406,6 @@ class ReplayEngine:
         """RaceZ baseline: recovery confined to each sample's basic block."""
         accesses: List[RecoveredAccess] = []
         touched: set = set()
-        compiled = lowered(self.program) if self.jit else None
         for item in aligned:
             lo, hi = self._block_bounds(path, item.step_index)
             # Forward within the block, from the sample.
@@ -428,7 +414,6 @@ class ReplayEngine:
                 entry_registers=item.sample.registers,
                 exit_registers=None,
                 poisoned=self.poisoned, max_iterations=1,
-                compiled=compiled,
             )
             accesses.extend(fwd.run())
             touched |= fwd.touched
@@ -440,8 +425,7 @@ class ReplayEngine:
                     entry_registers=None,
                     exit_registers=item.sample.registers,
                     poisoned=self.poisoned, max_iterations=2,
-                    compiled=compiled,
-                )
+                    )
                 accesses.extend(bwd.run())
                 touched |= bwd.touched
                 self._fold_window(stats, bwd)

@@ -7,9 +7,10 @@ import hashlib
 from repro.analysis import OfflinePipeline
 from repro.detector.events import SyncOp
 from repro.detector.registry import create_backend
-from repro.isa.lowering import lowered
 from repro.machine import Machine
 from repro.replay import WindowReplayer
+
+from tests.reference_replay import InterpreterWindowReplayer
 
 #: A small two-thread program with a lock-protected counter (no races).
 CLEAN_COUNTER_ASM = """
@@ -141,14 +142,12 @@ def record_states(program, seed=0, num_cores=4):
 
 
 def window_replayers(program, steps, start, end, **kwargs):
-    """The same window once per executor: the instruction interpreter
-    (``compiled=None``) and the production micro-op loop
-    (``compiled=lowered(program)``).  Window tests run every assertion
-    on both."""
+    """The same window once per executor: the reference instruction
+    interpreter (:mod:`tests.reference_replay`) and the production
+    micro-op loop.  Window tests run every assertion on both."""
     return [
-        WindowReplayer(program, steps, start, end, compiled=compiled,
-                       **kwargs)
-        for compiled in (None, lowered(program))
+        replayer(program, steps, start, end, **kwargs)
+        for replayer in (InterpreterWindowReplayer, WindowReplayer)
     ]
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 from tests.helpers import RACY_ASM
 
@@ -254,6 +254,20 @@ class TestPositiveIntArguments:
         ("sweep", "detection", "--periods", "100,-5"),
         ("sweep", "detection", "--runs", "0"),
         ("overhead", "swaptions", "--periods", "10,0"),
+        ("analyze", "aget-bug2", "unused.prtr", "--jobs", "0"),
+        ("detect", "aget-bug2", "--jobs", "0"),
+        ("detect", "aget-bug2", "--jobs", "-2"),
+        ("confirm", "aget-bug2", "--jobs", "0"),
+        ("sweep", "detection", "--jobs", "0"),
+        ("shootout", "--jobs", "-1"),
+        ("chaos", "aget-bug2", "--jobs", "0"),
+        ("fleet", "--jobs", "0"),
+        ("detect", "aget-bug2", "--threads", "-1"),
+        ("sweep", "detection", "--threads", "0"),
+        ("detect", "aget-bug2", "--retries", "-1"),
+        ("detect", "aget-bug2", "--retries", "many"),
+        ("confirm", "aget-bug2", "--confirm-retries", "-1"),
+        ("fleet", "--confirm-retries", "-2"),
     ], ids=" ".join)
     def test_exits_two_with_usage_message(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -262,6 +276,31 @@ class TestPositiveIntArguments:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("detect", "aget-bug2", "--task-timeout", "-1"),
+        ("detect", "aget-bug2", "--task-timeout", "0"),
+        ("detect", "aget-bug2", "--task-timeout", "nan"),
+        ("analyze", "aget-bug2", "unused.prtr", "--deadline", "-1"),
+        ("sweep", "detection", "--deadline", "-0.5"),
+        ("fleet", "--deadline", "inf"),
+        ("chaos", "aget-bug2", "--task-timeout", "soon"),
+    ], ids=" ".join)
+    def test_time_limits_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "number" in err
+
+    def test_zero_retries_is_accepted(self):
+        args = build_parser().parse_args(
+            ["detect", "aget-bug2", "--retries", "0",
+             "--confirm-retries", "0", "--task-timeout", "2.5"])
+        assert args.retries == 0
+        assert args.confirm_retries == 0
+        assert args.task_timeout == 2.5
 
 
 class TestOverhead:
@@ -297,29 +336,18 @@ class TestSweep:
             main(["sweep", "overhead", "--target", "nope"])
 
 
-class TestJitFlags:
+class TestAnalyzeFlags:
     def _trace(self, capsys, racy_source, tmp_path):
         trace_path = str(tmp_path / "out.prtr")
         run_cli(capsys, "trace", "-", "--source", racy_source,
                 "--period", "5", "-o", trace_path, "--seed", "3")
         return trace_path
 
-    def test_no_jit_identical_analysis(self, capsys, racy_source, tmp_path):
-        trace_path = self._trace(capsys, racy_source, tmp_path)
-        code_jit, out_jit = run_cli(
-            capsys, "analyze", "-", "--source", racy_source, trace_path,
-            "--json",
-        )
-        code_nojit, out_nojit = run_cli(
-            capsys, "analyze", "-", "--source", racy_source, trace_path,
-            "--json", "--no-jit",
-        )
-        assert code_jit == code_nojit
-        jit, nojit = json.loads(out_jit), json.loads(out_nojit)
-        assert jit["races"] == nojit["races"]
-        assert jit["stats"] == nojit["stats"]
-        assert (jit["replay_speed"]["executed_steps"]
-                == nojit["replay_speed"]["executed_steps"])
+    def test_no_jit_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "aget-bug2", "unused.prtr", "--no-jit"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-jit" in capsys.readouterr().err
 
     def test_profile_writes_pstats(self, capsys, racy_source, tmp_path):
         import pstats

@@ -5,12 +5,14 @@ thread, the :func:`tests.helpers.access_digest` of the reconstructed
 stream (every field, taint included), plus the final stream of the
 offline pipeline after its regeneration rounds.  Replay changes that
 claim bit-identity (performance work, deleting an executor) must leave
-every digest unchanged, on both executors.  Regenerate deliberately
-with::
+every digest unchanged, on the production micro-op executor (``jit``)
+and on the reference interpreter of :mod:`tests.reference_replay`
+(``interp``).  Regenerate deliberately with::
 
     PYTHONPATH=src python -m tests.test_replay_golden
 """
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from repro.tracing import trace_run
 from repro.workloads import RACE_BUGS, WorkloadScale
 
 from tests.helpers import access_digest
+from tests.reference_replay import interpreted
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_digests.json"
 PROGRAMS = ("pfscan", "mysql-644", "apache-21287")
@@ -39,26 +42,28 @@ def _per_thread_digests(per_thread):
             for tid, accesses in sorted(per_thread.items())}
 
 
-def replay_digests(name, jit=True):
+def replay_digests(name):
     """Digests of every mode's replay and of the pipeline's final
     extended trace, for one golden program."""
     program, bundle = _traced(name)
     digests = {
         mode: _per_thread_digests(
-            ReplayEngine(program, mode=mode, jit=jit)
+            ReplayEngine(program, mode=mode)
             .replay_bundle(bundle).per_thread)
         for mode in MODES
     }
-    result = OfflinePipeline(program, jit=jit).analyze(bundle)
+    result = OfflinePipeline(program).analyze(bundle)
     digests["pipeline"] = _per_thread_digests(result.replay.per_thread)
     return digests
 
 
-@pytest.mark.parametrize("jit", [True, False], ids=["jit", "interp"])
+@pytest.mark.parametrize("executor", [contextlib.nullcontext, interpreted],
+                         ids=["jit", "interp"])
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_recovered_access_streams_match_pinned(name, jit):
+def test_recovered_access_streams_match_pinned(name, executor):
     pinned = json.loads(GOLDEN.read_text())[name]
-    assert replay_digests(name, jit=jit) == pinned
+    with executor():
+        assert replay_digests(name) == pinned
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

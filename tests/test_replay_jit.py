@@ -1,9 +1,11 @@
-"""Differential tests for the compiled replay path.
+"""Differential tests for the micro-op replay executor.
 
-The micro-op executor is pure performance work: it must be *invisible*
-— bit-identical ``RecoveredAccess`` streams (position, ip, address,
-kind, provenance, taint) against the interpreter on every workload,
-every replay mode and every fault plan.  These tests are the contract.
+The micro-op executor is the interpreter's semantics pre-lowered for
+speed: it must be *invisible* — bit-identical ``RecoveredAccess``
+streams (position, ip, address, kind, provenance, taint) against the
+reference instruction interpreter (:mod:`tests.reference_replay`) on
+every workload, every replay mode and every fault plan.  These tests
+are the contract.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from repro.faults import FaultPlan
 from repro.replay import ReplayEngine
 from repro.tracing import trace_run
 from repro.workloads import GeneratorConfig, generate_racy_program
+
+from tests.reference_replay import interpreted
 
 CONFIG = GeneratorConfig(threads=2, body_length=24, loop_iterations=2)
 
@@ -28,8 +32,13 @@ FAULT_PLANS = st.builds(
 )
 
 
-def replay(program, bundle, mode="full", jit=True):
-    return ReplayEngine(program, mode=mode, jit=jit).replay_bundle(bundle)
+def replay(program, bundle, mode="full"):
+    return ReplayEngine(program, mode=mode).replay_bundle(bundle)
+
+
+def replay_interpreted(program, bundle, mode="full"):
+    with interpreted():
+        return replay(program, bundle, mode=mode)
 
 
 class TestDifferential:
@@ -39,9 +48,9 @@ class TestDifferential:
                                             racy_program, mode, period):
         for program in (clean_program, racy_program):
             bundle = trace_run(program, period=period, seed=3)
-            interp = replay(program, bundle, mode=mode, jit=False)
-            jit = replay(program, bundle, mode=mode, jit=True)
-            assert jit.per_thread == interp.per_thread
+            interp = replay_interpreted(program, bundle, mode=mode)
+            fast = replay(program, bundle, mode=mode)
+            assert fast.per_thread == interp.per_thread
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            period=st.sampled_from([1, 3, 7, 23]))
@@ -49,23 +58,23 @@ class TestDifferential:
     def test_random_programs_bit_identical(self, seed, period):
         program, _ = generate_racy_program(seed, CONFIG)
         bundle = trace_run(program, period=period, seed=seed)
-        interp = replay(program, bundle, jit=False)
-        jit = replay(program, bundle, jit=True)
-        assert jit.per_thread == interp.per_thread
+        interp = replay_interpreted(program, bundle)
+        fast = replay(program, bundle)
+        assert fast.per_thread == interp.per_thread
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            plan=FAULT_PLANS)
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_faulted_bundles_bit_identical(self, seed, plan):
         """Degraded traces (gaps, dropped samples, torn logs) exercise
-        segment boundaries and window aborts; the JIT must track the
-        interpreter through all of them."""
+        segment boundaries and window aborts; the micro-op executor
+        must track the interpreter through all of them."""
         program, _ = generate_racy_program(seed, CONFIG)
         bundle = trace_run(program, period=5, seed=seed)
         degraded, _ = plan.apply(bundle)
-        interp = replay(program, degraded, jit=False)
-        jit = replay(program, degraded, jit=True)
-        assert jit.per_thread == interp.per_thread
+        interp = replay_interpreted(program, degraded)
+        fast = replay(program, degraded)
+        assert fast.per_thread == interp.per_thread
 
     def test_decode_segment_boundaries_stay_bit_identical(self,
                                                          racy_program):
@@ -76,24 +85,25 @@ class TestDifferential:
         bundle = trace_run(program, period=4, seed=7)
         degraded, defects = FaultPlan(seed=3, pt_gap=0.4).apply(bundle)
         assert defects.pt_gaps > 0
-        interp = replay(program, degraded, jit=False)
-        jit = replay(program, degraded, jit=True)
-        assert jit.per_thread == interp.per_thread
+        interp = replay_interpreted(program, degraded)
+        fast = replay(program, degraded)
+        assert fast.per_thread == interp.per_thread
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_pipeline_jit_is_invisible(self, seed):
         """End to end: identical races, addresses, regeneration rounds
-        and access streams with and without the JIT (the `--no-jit`
-        contract)."""
+        and access streams from the production pipeline and from the
+        same pipeline replaying on the reference interpreter."""
         program, _ = generate_racy_program(seed, CONFIG)
         bundle = trace_run(program, period=5, seed=seed)
-        jit = OfflinePipeline(program, jit=True).analyze(bundle)
-        nojit = OfflinePipeline(program, jit=False).analyze(bundle)
-        assert {r.pair for r in jit.races} == {r.pair for r in nojit.races}
-        assert jit.racy_addresses == nojit.racy_addresses
-        assert jit.regeneration_rounds == nojit.regeneration_rounds
-        assert jit.replay.per_thread == nojit.replay.per_thread
+        fast = OfflinePipeline(program).analyze(bundle)
+        with interpreted():
+            interp = OfflinePipeline(program).analyze(bundle)
+        assert {r.pair for r in fast.races} == {r.pair for r in interp.races}
+        assert fast.racy_addresses == interp.racy_addresses
+        assert fast.regeneration_rounds == interp.regeneration_rounds
+        assert fast.replay.per_thread == interp.replay.per_thread
 
 
 class TestFixedPointCap:

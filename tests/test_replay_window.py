@@ -1,7 +1,7 @@
 """Window replay unit tests, including the paper's Figure 5 example.
 
-Every assertion runs on both executors (the instruction interpreter and
-the micro-op loop, see ``tests.helpers.window_replayers``).
+Every assertion runs on both executors (the reference instruction
+interpreter and the micro-op loop, see ``tests.helpers.window_replayers``).
 """
 
 import pytest
@@ -392,7 +392,6 @@ main:
                 return [], {}
 
             replayer._backward_pass = spy
-            replayer._backward_pass_fast = spy
             recovered = {a.ip for a in replayer.run()}
             assert recovered == {1}
             assert calls == []

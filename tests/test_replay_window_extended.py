@@ -1,18 +1,18 @@
 """Extended window-replay coverage: stack traffic, taint propagation,
 window statistics, cross-window memory carry-over.
 
-Every assertion runs on both executors (the instruction interpreter and
-the micro-op loop, see ``tests.helpers.window_replayers``).
+Every assertion runs on both executors (the reference instruction
+interpreter and the micro-op loop, see ``tests.helpers.window_replayers``).
 """
 
 import pytest
 
 from repro.isa import assemble
-from repro.isa.lowering import lowered
 from repro.replay import PROV_BACKWARD, PROV_FORWARD, WindowReplayer
 from repro.replay.program_map import Known
 
 from tests.helpers import record_states, window_replayers
+from tests.reference_replay import InterpreterWindowReplayer
 
 
 def replay_whole(source, entry_step=0, seed=0, entry=True, exit_step=None):
@@ -145,17 +145,17 @@ main:
         program = assemble(source)
         machine, states = record_states(program)
         steps = [ip for ip, _ in states[0]]
-        for compiled in (None, lowered(program)):
-            first = WindowReplayer(
+        for replayer in (InterpreterWindowReplayer, WindowReplayer):
+            first = replayer(
                 program, steps, 0, 3, tid=0,
                 entry_registers=states[0][0][1],
-                exit_registers=states[0][3][1], compiled=compiled,
+                exit_registers=states[0][3][1],
             )
             first.run()
-            second = WindowReplayer(
+            second = replayer(
                 program, steps, 3, len(steps), tid=0,
                 entry_registers=states[0][3][1], exit_registers=None,
-                entry_memory=first.exit_memory, compiled=compiled,
+                entry_memory=first.exit_memory,
             )
             recovered = {a.ip: a for a in second.run()}
             assert recovered[4].address == program.symbols["arr"] + 8
