@@ -20,6 +20,7 @@ inserts themselves must clear a generous absolute floor.
 Run directly: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
 
+import statistics
 import sys
 import tempfile
 import time
@@ -64,6 +65,12 @@ MAX_CLOCK_KEY_OVERHEAD = 0.05
 #: and then free-runs the whole program) must cost <10% wall clock over
 #: an identical controller-free run.
 MAX_CONTROLLER_OVERHEAD = 0.10
+#: Interleaved free/controlled pairs behind the controller gate.  One
+#: run is only ~20-40 ms and load on a 2-core box moves a single run by
+#: tens of percent; the median per-pair ratio of this many
+#: alternating-order pairs cancels slow drift that hits both runs of a
+#: pair.
+CONTROLLER_PAIRS = 21
 
 
 def _detector_stream(events=40_000):
@@ -198,19 +205,22 @@ def _clock_key_gate_seconds(repeats=5):
     return len(_accesses), best_aliased, best_keyed
 
 
-def _controller_seconds(program, repeats=REPEATS):
-    """Best-of-N (free-run seconds, diverging-controller seconds) for
-    one full machine execution — the confirmation service's unconfirmed
-    replay shape: the schedule never matches, the controller burns its
-    step budget, deactivates, and the machine free-runs the rest."""
-    best_free = best_driven = None
-    for _ in range(repeats):
+def _controller_seconds(program, pairs=CONTROLLER_PAIRS):
+    """Median free-run seconds, median diverging-controller seconds and
+    the median per-pair overhead (controlled / free - 1) for one full
+    machine execution — the confirmation service's unconfirmed replay
+    shape: the schedule never matches, the controller burns its step
+    budget, deactivates, and the machine free-runs the rest.
+
+    The two runs of each pair swap order every pair, so neither side
+    always runs first (warm caches, frequency ramps)."""
+
+    def free():
         t0 = time.perf_counter()
         Machine(program, num_cores=4, seed=1).run()
-        elapsed = time.perf_counter() - t0
-        if best_free is None or elapsed < best_free:
-            best_free = elapsed
+        return time.perf_counter() - t0
 
+    def driven():
         # A schedule step no instruction can ever match: the controller
         # spends its whole budget, diverges, and hands the run back.
         steps = [WitnessStep(tid=0, op="write", detail=10**9)]
@@ -220,9 +230,19 @@ def _controller_seconds(program, repeats=REPEATS):
                 controller=controller).run()
         elapsed = time.perf_counter() - t0
         assert controller.diverged, "gate expects an unconfirmed replay"
-        if best_driven is None or elapsed < best_driven:
-            best_driven = elapsed
-    return best_free, best_driven
+        return elapsed
+
+    free_s, driven_s = [], []
+    for pair in range(pairs):
+        if pair % 2:
+            driven_s.append(driven())
+            free_s.append(free())
+        else:
+            free_s.append(free())
+            driven_s.append(driven())
+    overhead = statistics.median(
+        d / f for f, d in zip(free_s, driven_s)) - 1.0
+    return statistics.median(free_s), statistics.median(driven_s), overhead
 
 
 def _racedb_seconds(bundles=RACEDB_BUNDLES):
@@ -287,11 +307,11 @@ def main():
           f"({insert_rate:,.0f}/sec), redelivery refused in "
           f"{dedup * 1e3:.1f} ms -> {dedup_speedup:.1f}x")
 
-    free_s, driven_s = _controller_seconds(program)
-    controller_overhead = driven_s / free_s - 1.0
+    free_s, driven_s, controller_overhead = _controller_seconds(program)
     print(f"schedule controller (diverging/unconfirmed replay): "
           f"free {free_s * 1e3:.1f} ms, controlled {driven_s * 1e3:.1f} ms "
-          f"-> {100 * controller_overhead:+.1f}%")
+          f"(medians of {CONTROLLER_PAIRS} pairs) -> "
+          f"{100 * controller_overhead:+.1f}% median per pair")
 
     failures = []
     if controller_overhead > MAX_CONTROLLER_OVERHEAD:

@@ -8,9 +8,9 @@ plays both roles:
 
 1. *Production*: N seeded runs of the cherokee server bug, each traced
    at a production-budget period and serialized to a ``.prtr`` file.
-2. *Analysis fleet*: each trace file is loaded, analyzed (in parallel
-   across the traced program's threads), reported, and deleted; a fleet
-   summary aggregates what the period's batch found.
+2. *Analysis fleet*: the trace files are analyzed in parallel, one
+   whole trace per worker process (§7.6), then reported and deleted; a
+   fleet summary aggregates what the period's batch found.
 
 Run:  python examples/datacenter_fleet.py
 """
@@ -20,11 +20,21 @@ from pathlib import Path
 
 from repro import OfflinePipeline, trace_run
 from repro.analysis import FleetSummary
+from repro.parallel import parallel_map
 from repro.tracing import read_trace, write_trace
 from repro.workloads import RACE_BUGS, WorkloadScale
 
 RUNS = 8
 PERIOD = 400
+WORKERS = 2
+
+
+def analyze_file(work):
+    """One analysis job: a whole spooled trace (module-level, so a
+    worker process can run it)."""
+    program, trace_file = work
+    return OfflinePipeline(program).analyze(
+        read_trace(trace_file, program=program))
 
 
 def main() -> None:
@@ -42,12 +52,13 @@ def main() -> None:
     print(f"  spooled {total_bytes} bytes "
           f"({total_bytes // RUNS} per run)\n")
 
-    # --- analysis machines: drain the spool.
-    pipeline = OfflinePipeline(program, jobs=4)
+    # --- analysis machines: drain the spool, one trace per worker.
+    trace_files = sorted(spool.glob("*.prtr"))
+    results = parallel_map(analyze_file,
+                           [(program, path) for path in trace_files],
+                           jobs=WORKERS, executor="process")
     summary = FleetSummary()
-    for trace_file in sorted(spool.glob("*.prtr")):
-        bundle = read_trace(trace_file, program=program)
-        result = pipeline.analyze(bundle)
+    for trace_file, result in zip(trace_files, results):
         status = (
             f"{len(result.races)} race(s)" if result.races else "clean"
         )

@@ -2,12 +2,10 @@
 stage.
 
 §5.1's race-triggered regeneration re-runs reconstruction with a grown
-poison set, and §7.6 notes the offline phases "can be easily
-parallelized".  The seed implementation contradicted both: every
-regeneration round re-decoded nothing but re-replayed *all* threads,
-rebuilt every timeline, re-materialized the full event list and re-sorted
-it globally.  :class:`AnalysisContext` splits the offline state into what
-a round can and cannot change:
+poison set.  Done naively, every regeneration round re-replays *all*
+threads, rebuilds every timeline, re-materializes the full event list
+and re-sorts it globally.  :class:`AnalysisContext` splits the offline
+state into what a round can and cannot change:
 
 **Round-invariant** (computed once per bundle, cached here):
 
@@ -128,9 +126,6 @@ class AnalysisContext:
         bundle: the trace bundle under analysis.
         mode: replay mode (``"full"``, ``"forward"``, ``"basicblock"``,
             or ``"sampled"``).
-        jobs: worker count for per-thread fan-outs (decode, replay).
-        executor: execution strategy for the replay fan-out (``"thread"``
-            or ``"process"``; see :mod:`repro.parallel`).
         round_cache: when False, every :meth:`replay` call recomputes all
             threads from scratch (the reference behaviour the incremental
             path is property-tested against).
@@ -151,8 +146,6 @@ class AnalysisContext:
         program: Program,
         bundle: TraceBundle,
         mode: str = "full",
-        jobs: int = 1,
-        executor: str = "thread",
         max_iterations: int = 4,
         round_cache: bool = True,
         supervisor=None,
@@ -162,12 +155,10 @@ class AnalysisContext:
         self.bundle = bundle
         self.mode = mode
         self.replay_mode = "full" if mode == "sampled" else mode
-        self.jobs = max(1, jobs)
-        self.executor = executor
         self.max_iterations = max_iterations
         self.round_cache = round_cache
         #: Optional :class:`~repro.supervise.SupervisorConfig` for the
-        #: replay fan-outs; :attr:`run_ledger` then accumulates one
+        #: per-thread replays; :attr:`run_ledger` then accumulates one
         #: merged ledger across all regeneration rounds.
         self.supervisor = supervisor
         self.run_ledger = None
@@ -234,8 +225,7 @@ class AnalysisContext:
             }
             self._paths, self.decode_failures = decode_all_tolerant(
                 self.program, self.bundle.pt_traces,
-                config=self.bundle.pt_config,
-                jobs=self.jobs, samples=sample_map,
+                config=self.bundle.pt_config, samples=sample_map,
             )
             self.decode_seconds += time.perf_counter() - begin
             self.stats.decode_calls += 1
@@ -515,7 +505,6 @@ class AnalysisContext:
         engine = ReplayEngine(
             self.program, mode=self.replay_mode,
             max_iterations=self.max_iterations, poisoned=poisoned,
-            jobs=self.jobs, executor=self.executor,
             supervisor=self.supervisor,
         )
         changed = False
@@ -771,7 +760,7 @@ class AnalysisContext:
         """Identity of the (bundle, analysis parameters) pair a snapshot
         belongs to.  Deliberately *excludes* the round-invariant caches —
         those are recomputed deterministically on restore — and the
-        execution knobs (jobs/executor), which never change results."""
+        supervision policy, which never changes results."""
         return "|".join(str(part) for part in (
             self.program.name, self.mode, self.max_iterations,
             len(self.bundle.samples), len(self.bundle.sync_records),

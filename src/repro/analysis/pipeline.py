@@ -230,13 +230,6 @@ class OfflinePipeline:
             detection over PEBS samples only).
         max_regenerations: cap on the §5.1 invalidate-and-regenerate
             rounds when races land on emulated memory locations.
-        jobs: worker count for the per-thread decode/replay fan-outs.
-            The paper notes these phases "can be easily parallelized"
-            (§7.6); here the parallelism is across the traced program's
-            threads, whose replays are independent.
-        executor: execution strategy for the replay fan-out (``"thread"``
-            default; ``"process"`` for GIL-free workers, every work item
-            is picklable).
         round_cache: when False, regeneration rounds recompute every
             thread from scratch (the reference behaviour the incremental
             context is property-tested against).
@@ -265,8 +258,6 @@ class OfflinePipeline:
         program: Program,
         mode: str = "full",
         max_regenerations: int = 3,
-        jobs: int = 1,
-        executor: str = "thread",
         round_cache: bool = True,
         supervisor=None,
         detectors: Sequence[str] = (DEFAULT_DETECTOR,),
@@ -275,11 +266,9 @@ class OfflinePipeline:
         self.program = program
         self.mode = mode
         self.max_regenerations = max_regenerations
-        self.jobs = max(1, jobs)
-        self.executor = executor
         self.round_cache = round_cache
-        #: Optional :class:`~repro.supervise.SupervisorConfig`: replay
-        #: fan-outs then run under the supervised runtime and every
+        #: Optional :class:`~repro.supervise.SupervisorConfig`: per-thread
+        #: replays then run under the supervised runtime and every
         #: :class:`DetectionResult` carries a merged ``ledger``.
         self.supervisor = supervisor
         self.detectors = resolve_detectors(detectors)
@@ -302,8 +291,8 @@ class OfflinePipeline:
             )
             reconcile_seconds = time.perf_counter() - begin
         context = AnalysisContext(
-            self.program, bundle, mode=self.mode, jobs=self.jobs,
-            executor=self.executor, round_cache=self.round_cache,
+            self.program, bundle, mode=self.mode,
+            round_cache=self.round_cache,
             supervisor=self.supervisor, clock=clock_model,
         )
         # Estimation/correction cost is reconstruction work (Figure 12).

@@ -482,7 +482,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"repro analyze: unreadable trace {args.trace}: {error}",
               file=sys.stderr)
         return 2
-    pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
+    pipeline = OfflinePipeline(program, mode=args.mode,
                                supervisor=_supervisor_from(args),
                                detectors=_detectors_from(args),
                                reconcile_clock=args.reconcile_clock)
@@ -516,7 +516,7 @@ def cmd_confirm(args: argparse.Namespace) -> int:
     program = _resolve_program(args.program, _scale_from(args), args.source)
     bundle = trace_run(program, period=args.period,
                        driver=_DRIVERS[args.driver], seed=args.seed)
-    pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
+    pipeline = OfflinePipeline(program, mode=args.mode,
                                supervisor=_supervisor_from(args),
                                detectors=_detectors_from(args))
     result = pipeline.analyze(bundle)
@@ -557,12 +557,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     detectors = _detectors_from(args)
     summary = FleetSummary()
     if args.runs == 1:
-        # One run: spend the job budget on the pipeline's per-thread
-        # decode/replay fan-out.
+        # One run: the job budget only fans out --confirm's replays.
         bundle = trace_run(program, period=args.period,
                            driver=_DRIVERS[args.driver], seed=args.seed,
                            governor=governor)
-        pipeline = OfflinePipeline(program, mode=args.mode, jobs=args.jobs,
+        pipeline = OfflinePipeline(program, mode=args.mode,
                                    supervisor=supervisor,
                                    detectors=detectors,
                                    reconcile_clock=args.reconcile_clock)
@@ -1263,8 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=("full", "forward", "basicblock",
                                          "sampled"))
     analyze_parser.add_argument("--json", action="store_true")
-    analyze_parser.add_argument("--jobs", type=_positive_int, default=1,
-                                help="workers for per-thread decode/replay")
     analyze_parser.add_argument(
         "--allow-partial", action="store_true",
         help="salvage intact sections of a corrupted v2 trace file "
@@ -1290,9 +1287,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect_parser.add_argument("--runs", type=_positive_int, default=1,
                                help="seeded runs to aggregate")
     detect_parser.add_argument("--jobs", type=_positive_int, default=1,
-                               help="workers: across runs when --runs > 1; "
-                                    "otherwise per-thread decode/replay "
-                                    "fan-out")
+                               help="worker processes: one seeded run "
+                                    "each when --runs > 1, otherwise the "
+                                    "--confirm replays")
     detect_parser.add_argument(
         "--profile", metavar="PATH",
         help="dump a cProfile pstats file for the offline stage to PATH",
@@ -1326,7 +1323,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=("full", "forward", "basicblock",
                                          "sampled"))
     confirm_parser.add_argument("--jobs", type=_positive_int, default=1,
-                                help="replay worker slots (verdicts are "
+                                help="worker processes for the "
+                                     "confirmation replays (verdicts are "
                                      "bit-identical at any value)")
     confirm_parser.add_argument("--json", action="store_true")
     _add_confirm_args(confirm_parser)

@@ -343,8 +343,8 @@ def confirm_races(
             ``Access``/``SyncOp`` objects or the ``(sort_key, event)``
             pairs :meth:`OfflinePipeline.events_for` returns.
         config: confirmation policy (:class:`ConfirmConfig`).
-        jobs / executor: fan-out of the replay batches (``"serial"``,
-            ``"thread"``, ``"process"``).
+        jobs / executor: fan-out of the replay batches (``"serial"``
+            or ``"process"``).
         supervisor: optional supervised-runtime policy (timeouts, crash
             isolation); defaults to :class:`SupervisorConfig` defaults.
     """

@@ -376,8 +376,8 @@ class WorkerFaultPlan:
         seed: drives every decision.
         kill: probability an item's worker is SIGKILLed (process
             executor) or crashes with
-            :class:`~repro.errors.WorkerCrash` (thread/inline, where a
-            real SIGKILL would take the supervisor down too).
+            :class:`~repro.errors.WorkerCrash` (inline, where a real
+            SIGKILL would take the supervisor down too).
         hang: probability an item's worker sleeps ``hang_seconds``
             before working — paired with a per-item timeout this
             exercises the kill-and-retry path.
@@ -426,8 +426,8 @@ class WorkerFaultPlan:
         """Execute this attempt's scheduled fault (no-op when none).
 
         Called from inside the worker.  *in_process* says the worker is
-        an isolated child process where a genuine SIGKILL is safe; in a
-        thread or inline worker the kill is simulated by raising
+        an isolated child process where a genuine SIGKILL is safe; in
+        the inline (serial) path the kill is simulated by raising
         :class:`~repro.errors.WorkerCrash` instead.
         """
         act = self.action(index, attempt)

@@ -3,19 +3,21 @@
 §7.6 observes that PT decode and memory reconstruction "can be easily
 parallelized" across analysis machines; the whole premise of the offline
 phase is that dedicated machines absorb its cost.  This module is the
-single place that decision lives.  Three layers fan out through it:
+single place that decision lives.  The unit of parallel work is a whole
+trace (or a whole seeded trial), never a thread inside one trace:
 
-* :class:`repro.replay.ReplayEngine` — the traced program's threads have
-  independent replays (thread executor: the workers share the program
-  and decoded paths in memory, and each unit of work is small).
-* :class:`repro.analysis.AnalysisContext` — regeneration rounds re-replay
-  only the invalidated threads, again fanned out per thread.
 * :func:`repro.analysis.detection_sweep` and
   :func:`repro.analysis.measure_detection_probability` — independent
-  seeded runs, the biggest win.  These default to the *process* executor:
-  the work is pure-Python and CPU-bound, so it only scales past the GIL
-  in separate interpreters, and every work item (program, driver model,
-  seed) is picklable by construction.
+  seeded runs, the biggest win;
+* ``repro detect --runs N --jobs J``, the confirmation replays, the
+  fleet's bundle analysis and the detector shoot-out.
+
+These use the *process* executor: the work is pure-Python and
+CPU-bound, so it only scales past the GIL in separate interpreters, and
+every work item (program, driver model, seed, bundle) is picklable by
+construction.  One trace's per-thread decode and replay run serially —
+a thread pool measured no faster than the plain loop (see
+``docs/replay.md``, "Parallelism").
 
 Every fan-out returns results in input order regardless of completion
 order, so callers are deterministic — ``jobs=4`` is bit-identical to
@@ -33,7 +35,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Recognized execution strategies.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -81,7 +83,7 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     jobs: int = 1,
-    executor: str = "thread",
+    executor: str = "process",
 ) -> List[R]:
     """Map *fn* over *items* with the chosen execution strategy.
 
@@ -119,11 +121,6 @@ def parallel_map(
     workers = min(jobs, len(work))
     call = _IndexedCall(fn)
     pairs = list(enumerate(work))
-    if executor == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _fold(pool.map(call, pairs), len(work))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..isa.program import Program
-from ..parallel import parallel_map
 from ..ptdecode.decoder import AlignedSample, DecodedPath, align_samples, decode_all
 from ..tracing.bundle import TraceBundle
 from .program_map import Known
@@ -39,15 +38,15 @@ _MODES = ("full", "forward", "basicblock")
 
 
 def _replay_one(work: tuple) -> "ThreadReplay":
-    """Module-level worker so the fan-out also runs under the process
-    executor (closures don't pickle; engines and paths do)."""
+    """Replay one ``(engine, path, aligned)`` work item (the unit
+    :func:`~repro.supervise.supervised_map` retries)."""
     engine, path, aligned = work
     return engine.replay_thread_full(path, aligned)
 
 
 @dataclass(frozen=True)
 class ReplayFailure:
-    """Picklable failure sentinel from the tolerant replay fan-out."""
+    """Failure sentinel from a tolerant :meth:`ReplayEngine.replay_threads`."""
 
     tid: int
     error: str
@@ -55,7 +54,7 @@ class ReplayFailure:
 
 def _replay_one_tolerant(work: tuple):
     """Tolerant worker: one thread's failure becomes a sentinel, not a
-    dead fan-out (graceful degradation under faulty traces)."""
+    dead analysis (graceful degradation under faulty traces)."""
     engine, path, aligned = work
     try:
         return engine.replay_thread_full(path, aligned)
@@ -160,8 +159,6 @@ class ReplayEngine:
         mode: str = "full",
         max_iterations: int = 4,
         poisoned: Optional[FrozenSet[int]] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         supervisor=None,
     ) -> None:
         if mode not in _MODES:
@@ -170,15 +167,10 @@ class ReplayEngine:
         self.mode = mode
         self.max_iterations = max_iterations
         self.poisoned = poisoned or frozenset()
-        #: Worker count for the per-thread replay fan-out: per-thread
-        #: replays are independent (§7.6).
-        self.jobs = max(1, jobs)
-        self.executor = executor
-        #: Optional :class:`~repro.supervise.SupervisorConfig`: the
-        #: per-thread fan-out then runs under the supervised runtime
-        #: (retries, timeouts, crash isolation) instead of the plain
-        #: pool.  The config pickles with the engine; the resulting
-        #: ledger lands in :attr:`last_ledger` after each fan-out.
+        #: Optional :class:`~repro.supervise.SupervisorConfig`: each
+        #: thread's replay is then one supervised item (retries and the
+        #: deadline apply, inline); the resulting ledger lands in
+        #: :attr:`last_ledger` after each :meth:`replay_threads` call.
         self.supervisor = supervisor
         self.last_ledger = None
 
@@ -220,13 +212,13 @@ class ReplayEngine:
         tids: Sequence[int],
         tolerant: bool = False,
     ) -> List[ThreadReplay]:
-        """Replay a subset of threads, fanned out over the executor.
+        """Replay a subset of threads, in the order of *tids*.
 
         This is the unit the analysis context re-runs per regeneration
         round: *tids* names only the threads whose program maps touched
         newly poisoned addresses.  With *tolerant*, a thread whose
         replay raises yields a :class:`ReplayFailure` sentinel in the
-        result list instead of killing the whole fan-out.
+        result list instead of aborting the other threads.
         """
         work = [(self, paths[tid], aligned.get(tid, [])) for tid in tids]
         worker = _replay_one_tolerant if tolerant else _replay_one
@@ -234,12 +226,10 @@ class ReplayEngine:
             from ..supervise import supervised_map
 
             results, self.last_ledger = supervised_map(
-                worker, work, jobs=self.jobs, executor=self.executor,
-                config=self.supervisor,
+                worker, work, executor="serial", config=self.supervisor,
             )
             return results
-        return parallel_map(worker, work, jobs=self.jobs,
-                            executor=self.executor)
+        return [worker(item) for item in work]
 
     def replay_thread_full(
         self,

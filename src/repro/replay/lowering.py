@@ -21,8 +21,8 @@ backward pass's reverse execution) and a blocked-step *retry* descriptor
 
 Compiled programs are cached in a module-level
 :class:`weakref.WeakKeyDictionary` keyed by the program object: the ALU
-callables are lambdas and therefore unpicklable, so the replay engine
-never stores a compiled program on itself (engines are pickled into
+callables are lambdas and therefore unpicklable, so no compiled program
+is stored on a program or engine (programs are pickled into
 process-executor workers) — each window replayer looks it up via
 :func:`lowered`, which is a cache hit for every window after the first.
 

@@ -38,19 +38,17 @@ the property test in ``tests/test_property_faults.py`` pins this.
 Executor semantics mirror :mod:`repro.parallel`, with one addition:
 per-item *process* isolation uses one forked worker per in-flight item
 (a worker-slot model rather than a shared pool), which is what makes a
-SIGKILL attributable to exactly one item.  Thread workers cannot be
-killed, so a timed-out thread item is abandoned (daemon thread) and
-retried; true kill faults on the thread executor are *simulated* by
-raising :class:`~repro.errors.WorkerCrash`.  The inline path (serial
+SIGKILL attributable to exactly one item.  The inline path (serial
 executor, or one job with nothing to isolate) applies retries, backoff
-and the deadline but cannot enforce per-item timeouts.
+and the deadline but cannot enforce per-item timeouts; a kill fault
+there is *simulated* by raising :class:`~repro.errors.WorkerCrash`,
+since a real SIGKILL would take the supervisor down too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,8 +85,9 @@ class SupervisorConfig:
         retries: per-item retry budget (an item runs at most
             ``retries + 1`` times before quarantine).
         task_timeout: per-item wall-clock limit in seconds; a worker
-            exceeding it is killed (process) or abandoned (thread) and
-            the item retried.  ``None`` disables.
+            exceeding it is killed and the item retried (process
+            executor only; the inline path cannot interrupt an item).
+            ``None`` disables.
         deadline: whole-call wall-clock budget in seconds; when it
             expires the run aborts with
             :class:`~repro.errors.DeadlineExceeded`.  ``None`` disables.
@@ -307,18 +306,6 @@ def _run_in_child(conn, fn, item, index, attempt, fault_plan) -> None:
         conn.close()
 
 
-def _run_in_thread(box, fn, item, index, attempt, fault_plan) -> None:
-    """Thread-worker body: same protocol, results into a shared box."""
-    try:
-        if fault_plan is not None:
-            fault_plan.perturb(index, attempt, in_process=False)
-        box.append(("ok", fn(item)))
-    except WorkerCrash as error:
-        box.append(("crash", str(error)))
-    except BaseException as error:  # noqa: BLE001 - isolation boundary
-        box.append(("err", f"{type(error).__name__}: {error}"))
-
-
 class _ProcessSlot:
     """One in-flight item in its own forked worker process.
 
@@ -326,8 +313,6 @@ class _ProcessSlot:
     SIGKILL takes down exactly this item's worker, the supervisor sees
     EOF on this pipe, and no sibling result is lost (the shared-pool
     alternative, ``BrokenProcessPool``, fails every pending future)."""
-
-    isolation = "process"
 
     def __init__(self, ctx, fn, item, index, attempt, fault_plan):
         self.index = index
@@ -372,40 +357,6 @@ class _ProcessSlot:
             pass
 
 
-class _ThreadSlot:
-    """One in-flight item on a daemon thread.  Threads cannot be
-    killed: a timed-out item is abandoned (the daemon thread keeps
-    running to completion but its result is discarded) and retried."""
-
-    isolation = "thread"
-
-    def __init__(self, fn, item, index, attempt, fault_plan):
-        self.index = index
-        self.attempt = attempt
-        self.started = time.monotonic()
-        self.box: List[Tuple[str, object]] = []
-        self.thread = threading.Thread(
-            target=_run_in_thread,
-            args=(self.box, fn, item, index, attempt, fault_plan),
-            daemon=True,
-        )
-        self.thread.start()
-
-    def finished(self) -> bool:
-        return bool(self.box) or not self.thread.is_alive()
-
-    def outcome(self) -> Tuple[str, object]:
-        if self.box:
-            return self.box[0]
-        return ("crash", "worker thread died without a result")
-
-    def kill(self) -> None:  # abandoned, not killed
-        pass
-
-    def close(self) -> None:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # The supervisor
 # ---------------------------------------------------------------------------
@@ -431,8 +382,9 @@ def supervised_map(
             picklable for the process executor).
         items: the work list.
         jobs: worker-slot count.
-        executor: ``"serial"``, ``"thread"``, or ``"process"`` (see
-            module docstring for isolation semantics).
+        executor: ``"serial"`` (inline) or ``"process"`` (one forked
+            worker per in-flight item; see the module docstring for
+            isolation semantics).
         config: retry/deadline policy; defaults to
             ``SupervisorConfig()``.
         fault_plan: optional :class:`~repro.faults.WorkerFaultPlan`
@@ -488,7 +440,7 @@ def supervised_map(
         else:
             _run_slots(fn, work, todo, results, records, ledger,
                        config, fault_plan, journal, start,
-                       workers=min(jobs, len(todo)), executor=executor)
+                       workers=min(jobs, len(todo)))
     finally:
         ledger.wall_seconds = time.monotonic() - start
 
@@ -591,28 +543,18 @@ def _run_inline(fn, work, todo, results, records, ledger, config,
 
 
 def _run_slots(fn, work, todo, results, records, ledger, config,
-               fault_plan, journal, start, workers, executor) -> None:
-    """Slot-based supervision for the thread and process executors."""
-    if executor == "process":
-        import multiprocessing
+               fault_plan, journal, start, workers) -> None:
+    """Slot-based supervision for the process executor."""
+    import multiprocessing
 
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-
-        def spawn(index, attempt):
-            return _ProcessSlot(ctx, fn, work[index], index, attempt,
-                                fault_plan)
-    else:
-        def spawn(index, attempt):
-            return _ThreadSlot(fn, work[index], index, attempt, fault_plan)
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
 
     # (not_before, index, attempt) — index tiebreak keeps launch order
     # deterministic when several items share a ready time.
     queue: List[Tuple[float, int, int]] = [(0.0, i, 1) for i in todo]
     heapq.heapify(queue)
-    slots: List[object] = []
+    slots: List[_ProcessSlot] = []
 
     def requeue(index: int, attempt: int) -> None:
         not_before = time.monotonic() + config.backoff(index, attempt)
@@ -627,7 +569,8 @@ def _run_slots(fn, work, todo, results, records, ledger, config,
                    and queue[0][0] <= now):
                 _, index, attempt = heapq.heappop(queue)
                 records[index].attempts += 1
-                slots.append(spawn(index, attempt))
+                slots.append(_ProcessSlot(ctx, fn, work[index], index,
+                                          attempt, fault_plan))
                 progressed = True
             for slot in list(slots):
                 now = time.monotonic()

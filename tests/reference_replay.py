@@ -13,7 +13,8 @@ Window-level tests construct it directly; engine- and pipeline-level
 tests substitute it for the production class with
 ``unittest.mock.patch("repro.replay.engine.WindowReplayer",
 InterpreterWindowReplayer)`` (see :func:`interpreted`).  Facts passed
-between its two passes are keyed by register name, not slot.
+between its two passes are keyed by register name, not slot, and its
+program map is a :class:`NamedProgramMap`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.isa.instructions import (
     REVERSIBLE_ALU,
 )
 from repro.isa.operands import Imm, Mem, Operand, Reg
-from repro.isa.registers import MASK64
+from repro.isa.registers import MASK64, REG_SLOT
 from repro.isa.semantics import alu, alu_unary, reverse_alu
 from repro.replay.program_map import Known, ProgramMap, Taint, merge_taint
 from repro.replay.window import (
@@ -43,6 +44,54 @@ _UNARY_INVERSE = {Op.INC: Op.DEC, Op.DEC: Op.INC, Op.NEG: Op.NEG,
                   Op.NOT: Op.NOT}
 
 _COND = frozenset({Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE})
+
+
+class NamedProgramMap(ProgramMap):
+    """:class:`~repro.replay.program_map.ProgramMap` with the register-
+    name and memory-address accessors the interpreter steps through
+    (the micro-op loop touches ``_slots``/``_memory`` directly)."""
+
+    __slots__ = ()
+
+    def get_register(self, name: str) -> Optional[Known]:
+        return self._slots[REG_SLOT[name]]
+
+    def set_register(self, name: str, known: Optional[Known]) -> None:
+        """Set a register value; None marks it unavailable."""
+        if known is None:
+            self._slots[REG_SLOT[name]] = None
+        else:
+            self._slots[REG_SLOT[name]] = Known(known.value & MASK64,
+                                                known.taint)
+
+    def load_memory(self, address: int) -> Optional[Known]:
+        """Read emulated memory; the result's taint includes the address
+        itself (the loaded value is only as trustworthy as the emulation
+        of that location)."""
+        known = self._memory.get(address & MASK64)
+        if known is None:
+            return None
+        return Known(known.value, merge_taint(known.taint,
+                                              frozenset({address & MASK64})))
+
+    def store_memory(self, address: int, known: Optional[Known]) -> None:
+        """Write emulated memory; an unavailable value evicts the entry."""
+        address &= MASK64
+        if known is None:
+            self._memory.pop(address, None)
+            return
+        self.emulated_touched.add(address)
+        if address in self.poisoned:
+            self._memory.pop(address, None)
+        else:
+            self._memory[address] = known
+
+    def invalidate_memory(self) -> None:
+        """Conservatively drop all emulated memory (system call, or a
+        store through an unknown address that could alias anything)."""
+        if self._memory:
+            self._memory.clear()
+        self.memory_invalidations += 1
 
 
 def interpreted():
@@ -68,7 +117,7 @@ class InterpreterWindowReplayer(WindowReplayer):
         as they are reached.  Returns recovered accesses and the step
         indices where an unavailable input blocked reconstruction.
         """
-        pm = ProgramMap(self.poisoned)
+        pm = NamedProgramMap(self.poisoned)
         if self.entry_registers is not None:
             pm.restore_registers(self.entry_registers)
         pm.set_memory_map(self.entry_memory)
@@ -94,7 +143,7 @@ class InterpreterWindowReplayer(WindowReplayer):
 
     # -- operand helpers ---------------------------------------------------
 
-    def _address_of(self, pm: ProgramMap, ip: int,
+    def _address_of(self, pm: NamedProgramMap, ip: int,
                     mem: Mem) -> Optional[Known]:
         """Effective address as a Known (value + taint), if computable."""
         if mem.rip_relative:
@@ -117,7 +166,7 @@ class InterpreterWindowReplayer(WindowReplayer):
 
     def _eval_source(
         self,
-        pm: ProgramMap,
+        pm: NamedProgramMap,
         j: int,
         ip: int,
         operand: Operand,
@@ -160,7 +209,7 @@ class InterpreterWindowReplayer(WindowReplayer):
 
     def _execute(
         self,
-        pm: ProgramMap,
+        pm: NamedProgramMap,
         j: int,
         ip: int,
         ins: Instruction,

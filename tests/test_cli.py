@@ -254,7 +254,6 @@ class TestPositiveIntArguments:
         ("sweep", "detection", "--periods", "100,-5"),
         ("sweep", "detection", "--runs", "0"),
         ("overhead", "swaptions", "--periods", "10,0"),
-        ("analyze", "aget-bug2", "unused.prtr", "--jobs", "0"),
         ("detect", "aget-bug2", "--jobs", "0"),
         ("detect", "aget-bug2", "--jobs", "-2"),
         ("confirm", "aget-bug2", "--jobs", "0"),
@@ -348,6 +347,14 @@ class TestAnalyzeFlags:
             main(["analyze", "aget-bug2", "unused.prtr", "--no-jit"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --no-jit" in capsys.readouterr().err
+
+    def test_jobs_is_unrecognized(self, capsys):
+        """One trace's per-thread decode/replay runs serially; analyze
+        has nothing to fan out."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "aget-bug2", "t.prtr", "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_profile_writes_pstats(self, capsys, racy_source, tmp_path):
         import pstats

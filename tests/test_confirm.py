@@ -163,15 +163,15 @@ class TestDeterminism:
     @settings(max_examples=4, deadline=None)
     def test_jobs_invariance(self, seed):
         """Fan-out width must not leak into verdicts: serial and
-        2-way threaded confirmation produce identical reports."""
+        2-way process confirmation produce identical reports."""
         program, _ = generate_racy_program(seed, GEN_CONFIG)
         result, events = detect(program, seed=seed)
         config = ConfirmConfig(seed=seed, machine_seed=seed)
         serial = confirm_races(program, result.races, events,
                                config=config, jobs=1, executor="serial")
-        threaded = confirm_races(program, result.races, events,
-                                 config=config, jobs=2, executor="thread")
-        assert serial.to_dict() == threaded.to_dict()
+        fanned = confirm_races(program, result.races, events,
+                               config=config, jobs=2, executor="process")
+        assert serial.to_dict() == fanned.to_dict()
 
     def test_digest_stability_pins_event_stream(self):
         """The digest is over the matched-event stream, so two runs

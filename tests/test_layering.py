@@ -1,10 +1,13 @@
-"""Package layering: the lower layers never import the replay layer.
+"""Package layering: the lower layers never import the replay layer,
+and no layer fans out over threads.
 
 ``repro.isa`` (the instruction set) and ``repro.detector`` (happens-
 before detection over an event stream) sit below ``repro.replay``; an
 upward import couples them to replay internals and invites package
-cycles.  The scan reads every module's source, so it also catches
-imports inside functions.
+cycles.  Parallel work is whole traces on worker processes
+(:mod:`repro.parallel`): the analysis is pure Python, so a thread pool
+only adds GIL contention.  The scans read every module's source, so
+they also catch imports inside functions.
 """
 
 import ast
@@ -14,6 +17,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FORBIDDEN = "repro.replay"
+#: Thread fan-out: the module, or the pool class however it is reached.
+THREAD_POOL = "ThreadPoolExecutor"
 
 
 def imported_modules(path: Path, root: Path = SRC):
@@ -45,6 +50,42 @@ def test_layer_does_not_import_replay(layer):
         if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
     )
     assert offenders == []
+
+
+def thread_fan_out(path: Path, root: Path = SRC):
+    """Where *path* imports ``threading`` or reaches
+    ``concurrent.futures.ThreadPoolExecutor``."""
+    found = [name for name in imported_modules(path, root)
+             if name == "threading" or name.startswith("threading.")
+             or name.endswith("." + THREAD_POOL)]
+    found += [f"attribute {node.attr}"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and node.attr == THREAD_POOL]
+    return found
+
+
+def test_no_thread_fan_out():
+    offenders = sorted(
+        f"{path.relative_to(SRC)} uses {name}"
+        for path in (SRC / "repro").rglob("*.py")
+        for name in thread_fan_out(path)
+    )
+    assert offenders == []
+
+
+def test_thread_scan_catches_every_spelling(tmp_path):
+    module = tmp_path / "repro" / "probe.py"
+    module.parent.mkdir(parents=True)
+    for source in ("import threading\n",
+                   "from threading import Thread\n",
+                   "def f():\n    from concurrent.futures import "
+                   "ThreadPoolExecutor\n",
+                   "import concurrent.futures as cf\n"
+                   "cf.ThreadPoolExecutor\n"):
+        module.write_text(source)
+        assert thread_fan_out(module, root=tmp_path), source
+    module.write_text("from concurrent.futures import ProcessPoolExecutor\n")
+    assert thread_fan_out(module, root=tmp_path) == []
 
 
 def test_scan_resolves_relative_imports(tmp_path):

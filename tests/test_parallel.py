@@ -46,7 +46,12 @@ class TestParallelMap:
         with pytest.raises(ValueError):
             parallel_map(_square, [1, 2], jobs=2, executor="gpu")
 
-    def test_closures_allowed_on_threads(self):
+    def test_closures_allowed_inline(self):
         offset = 10
         assert parallel_map(lambda x: x + offset, [1, 2, 3], jobs=2,
-                            executor="thread") == [11, 12, 13]
+                            executor="serial") == [11, 12, 13]
+
+    def test_executors_are_serial_and_process(self):
+        """No in-process thread pool: pure-Python work only scales past
+        the GIL in separate interpreters."""
+        assert EXECUTORS == ("serial", "process")

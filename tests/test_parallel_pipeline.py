@@ -1,4 +1,11 @@
-"""Parallel offline analysis: jobs>1 must be verdict-identical (§7.6)."""
+"""Parallel offline analysis (§7.6): the unit of fan-out is a whole
+trace, and every configuration must be verdict-identical to the serial
+run.
+
+Seeded traces and trials fan out over worker processes (``detect --runs
+--jobs``, sweeps, the fleet).  Inside one trace, per-thread decode and
+replay run serially — under the supervised runtime when one is set.
+"""
 
 import pytest
 
@@ -7,61 +14,87 @@ from repro.analysis import (
     detection_sweep,
     measure_detection_probability,
 )
+from repro.parallel import EXECUTORS, parallel_map
 from repro.replay import ReplayEngine
+from repro.supervise import SupervisorConfig
 from repro.tracing import trace_run
 from repro.workloads import PARSEC_WORKLOADS, RACE_BUGS, WorkloadScale
+
+FAST = SupervisorConfig(retries=1, backoff_base=0.0)
+
+
+def _analyze(work):
+    """Module-level so the process executor can pickle it."""
+    program, bundle = work
+    return OfflinePipeline(program).analyze(bundle)
 
 
 class TestParallelEquivalence:
     @pytest.mark.parametrize("name", ["cherokee-0.9.2", "mysql-644",
                                       "aget-bug2"])
     def test_same_verdicts(self, name):
+        """Seeded traces analyzed in worker processes give the verdicts
+        of the in-process analyses, in input order."""
         bug = RACE_BUGS[name]
         program = bug.build(WorkloadScale(iterations=10))
-        bundle = trace_run(program, period=40, seed=5)
-        serial = OfflinePipeline(program, jobs=1).analyze(bundle)
-        parallel = OfflinePipeline(program, jobs=4).analyze(bundle)
-        assert serial.racy_addresses == parallel.racy_addresses
-        assert {r.pair for r in serial.races} == \
-            {r.pair for r in parallel.races}
-        assert serial.replay.stats.recovered == \
-            parallel.replay.stats.recovered
+        bundles = [trace_run(program, period=40, seed=seed)
+                   for seed in (5, 6)]
+        serial = [OfflinePipeline(program).analyze(b) for b in bundles]
+        fanned = parallel_map(_analyze, [(program, b) for b in bundles],
+                              jobs=2, executor="process")
+        for one, other in zip(serial, fanned):
+            assert one.racy_addresses == other.racy_addresses
+            assert {r.pair for r in one.races} == \
+                {r.pair for r in other.races}
+            assert one.replay.stats.recovered == \
+                other.replay.stats.recovered
 
     def test_same_accesses_per_thread(self, racy_program):
+        """A supervised replay — one retried item per thread — recovers
+        exactly the unsupervised accesses."""
         bundle = trace_run(racy_program, period=4, seed=2)
-        serial = ReplayEngine(racy_program, jobs=1).replay_bundle(bundle)
-        parallel = ReplayEngine(racy_program, jobs=4).replay_bundle(bundle)
-        assert serial.per_thread.keys() == parallel.per_thread.keys()
-        for tid in serial.per_thread:
-            assert serial.per_thread[tid] == parallel.per_thread[tid]
+        plain = ReplayEngine(racy_program).replay_bundle(bundle)
+        engine = ReplayEngine(racy_program, supervisor=FAST)
+        supervised = engine.replay_bundle(bundle)
+        assert plain.per_thread.keys() == supervised.per_thread.keys()
+        for tid in plain.per_thread:
+            assert plain.per_thread[tid] == supervised.per_thread[tid]
+        assert len(engine.last_ledger.items) == len(plain.per_thread)
+        assert not engine.last_ledger.eventful
 
     def test_many_thread_workload(self):
+        """``--retries`` on a many-thread analysis: same verdicts, and
+        the merged ledger accounts one clean attempt per replayed
+        thread."""
         program = PARSEC_WORKLOADS["fluidanimate"].instantiate(
             WorkloadScale(iterations=8, threads=4)
         )
         bundle = trace_run(program, period=6, seed=1)
-        serial = OfflinePipeline(program, jobs=1).analyze(bundle)
-        parallel = OfflinePipeline(program, jobs=8).analyze(bundle)
-        assert serial.racy_addresses == parallel.racy_addresses
-        assert serial.events_processed == parallel.events_processed
+        plain = OfflinePipeline(program).analyze(bundle)
+        supervised = OfflinePipeline(program, supervisor=FAST).analyze(bundle)
+        assert plain.racy_addresses == supervised.racy_addresses
+        assert plain.events_processed == supervised.events_processed
+        assert supervised.ledger.attempts >= len(bundle.pt_traces)
+        assert not supervised.ledger.eventful
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_pipeline_executor_identical(self, executor):
-        """The replay fan-out must be invisible regardless of executor —
-        process workers exercise the pickling path end to end."""
+        """A trace analyzed by a fan-out worker is the in-process
+        analysis, field for field — process workers exercise the
+        pickling path end to end."""
         bug = RACE_BUGS["aget-bug2"]
         program = bug.build(WorkloadScale(iterations=10))
         bundle = trace_run(program, period=40, seed=5)
-        serial = OfflinePipeline(program, jobs=1).analyze(bundle)
-        fanned = OfflinePipeline(program, jobs=4,
-                                 executor=executor).analyze(bundle)
-        assert serial.racy_addresses == fanned.racy_addresses
-        assert {r.pair for r in serial.races} == \
-            {r.pair for r in fanned.races}
-        assert serial.replay.stats == fanned.replay.stats
-        assert serial.replay.per_thread == fanned.replay.per_thread
-        assert serial.regeneration_rounds == fanned.regeneration_rounds
-        assert serial.events_processed == fanned.events_processed
+        serial = OfflinePipeline(program).analyze(bundle)
+        for fanned in parallel_map(_analyze, [(program, bundle)] * 2,
+                                   jobs=2, executor=executor):
+            assert serial.racy_addresses == fanned.racy_addresses
+            assert {r.pair for r in serial.races} == \
+                {r.pair for r in fanned.races}
+            assert serial.replay.stats == fanned.replay.stats
+            assert serial.replay.per_thread == fanned.replay.per_thread
+            assert serial.regeneration_rounds == fanned.regeneration_rounds
+            assert serial.events_processed == fanned.events_processed
 
 
 class TestParallelSweeps:
@@ -70,7 +103,7 @@ class TestParallelSweeps:
     BUGS = {"aget-bug2": RACE_BUGS["aget-bug2"]}
     SCALE = WorkloadScale(iterations=8)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_detection_sweep_jobs_identical(self, executor):
         serial = detection_sweep(self.BUGS, self.SCALE,
                                  periods=[200, 1000], runs=3, jobs=1)
@@ -80,7 +113,7 @@ class TestParallelSweeps:
         assert serial.cells == fanned.cells
         assert serial.totals() == fanned.totals()
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_detection_probability_jobs_identical(self, racy_program,
                                                   executor):
         racy = [racy_program.symbols["racy"]]

@@ -50,7 +50,7 @@ def _slow_square(x):
 
 
 class TestHappyPath:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_matches_serial(self, executor, jobs):
         items = list(range(9))
@@ -85,22 +85,25 @@ class TestFaultRecovery:
         assert ledger.retries == ledger.crashes
         assert all(r.outcome == "ok" for r in ledger.items)
 
-    def test_thread_kill_simulated(self):
-        """Thread workers simulate the kill via WorkerCrash — same
-        accounting, same recovery."""
+    def test_inline_kill_simulated(self):
+        """The inline path simulates the kill via WorkerCrash (a real
+        SIGKILL would take the supervisor down) — same accounting, same
+        recovery."""
         plan = WorkerFaultPlan(seed=3, kill=0.6)
         items = list(range(8))
         results, ledger = supervised_map(_square, items, jobs=4,
-                                         executor="thread", config=FAST,
+                                         executor="serial", config=FAST,
                                          fault_plan=plan)
         assert results == [x * x for x in items]
         assert ledger.crashes > 0
+        assert ledger.respawns == ledger.crashes
+        assert ledger.retries == ledger.crashes
 
     def test_fail_fault_counts_as_failure(self):
         plan = WorkerFaultPlan(seed=5, fail=0.7)
         items = list(range(6))
         results, ledger = supervised_map(_square, items, jobs=2,
-                                         executor="thread", config=FAST,
+                                         executor="process", config=FAST,
                                          fault_plan=plan)
         assert results == [x * x for x in items]
         assert ledger.failures > 0
@@ -121,11 +124,11 @@ class TestFaultRecovery:
         assert ledger.timeouts == len(items)
         assert ledger.respawns == len(items)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_identical_across_executors_and_jobs(self, executor, jobs):
         """Acceptance criterion: determinism holds across jobs 1/4 and
-        thread/process under the same fault plan."""
+        serial/process under the same fault plan."""
         plan = WorkerFaultPlan(seed=7, kill=0.3, fail=0.3)
         items = list(range(10))
         results, _ = supervised_map(_square, items, jobs=jobs,
@@ -145,7 +148,7 @@ class TestQuarantine:
                   if plan.action(i, 1) == "fail"]
         assert faulty, "seed must schedule at least one fault"
         with pytest.raises(QuarantinedWork) as excinfo:
-            supervised_map(_square, items, jobs=2, executor="thread",
+            supervised_map(_square, items, jobs=2, executor="process",
                            config=config, fault_plan=plan)
         error = excinfo.value
         assert list(error.indices) == faulty
@@ -331,7 +334,7 @@ class TestParallelMapErrors:
         assert excinfo.value.index == 0
         assert "ValueError" in str(excinfo.value)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_worker_error_keeps_completed(self, executor):
         def fails_on_two(x):
             if x == 2:
